@@ -26,6 +26,7 @@ MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
   rank_ = group_.rank_of(group_.self);
   n_ = group_.n();
   next_own_ = rank_;
+  owner_scan_.assign(static_cast<size_t>(n_), 0);
   for (NodeId m : group_.members) {
     owner_floor_[m] = 0;
     owner_rev_floor_[m] = -1;
@@ -77,13 +78,15 @@ const kv::Command* MenciusNode::decided_at(LogIndex i) const {
   return &it->second;
 }
 
-LogIndex MenciusNode::own_decided_floor() const {
+LogIndex MenciusNode::own_decided_floor() {
   // Smallest own slot not known decided. Own slots below the apply floor
-  // are decided by construction; walk the residue class from there.
+  // are decided by construction, and a decided slot stays decided until it
+  // executes, so the walk resumes where the last one stopped (clamped up to
+  // the apply floor, which a snapshot install can jump past it).
   const LogIndex floor = afloor();
-  LogIndex f = floor + ((rank_ - floor) % n_ + n_) % n_;
-  while (true) {
-    if (f >= next_own_) break;  // unused slots are undecided by definition
+  LogIndex& f = own_decided_scan_;
+  f = std::max(f, floor + ((rank_ - floor) % n_ + n_) % n_);
+  while (f < next_own_) {  // unused slots are undecided by definition
     const Slot* s = slot_if(f);
     if (s == nullptr || s->st != St::kDecided) break;
     f += n_;
@@ -120,7 +123,7 @@ LogIndex MenciusNode::submit(const kv::Command& cmd) {
   s.proposed_at = env_.now();
   s.own_pending_ack = true;
   own_unacked_.push_back(i);
-  slot_got_value(i, s);
+  count_in(s.cmd);
   persist_slot(i);
   persister_.hard_state();  // next_own_ moved: never reuse this slot
   // The owner's implicit self-accept counts toward the ballot-0 quorum only
@@ -246,10 +249,23 @@ void MenciusNode::skip_own_upto(LogIndex boundary) {
 // Slot state transitions.
 // ---------------------------------------------------------------------------
 
-void MenciusNode::slot_got_value(LogIndex /*i*/, Slot& s) {
-  if (s.cmd.is_noop()) return;
-  ++unapplied_ops_[s.cmd.key];
-  if (s.cmd.is_write()) ++unapplied_writes_[s.cmd.key];
+void MenciusNode::count_in(const kv::Command& cmd) {
+  if (cmd.is_noop()) return;
+  KeyCount& c = unapplied_[cmd.key];
+  ++c.ops;
+  if (cmd.is_write()) ++c.writes;
+}
+
+void MenciusNode::count_out(const kv::Command& cmd) {
+  if (cmd.is_noop()) return;
+  const auto it = unapplied_.find(cmd.key);
+  PRAFT_CHECK_MSG(it != unapplied_.end(), "commutativity count underflow");
+  KeyCount& c = it->second;
+  --c.ops;
+  if (cmd.is_write()) --c.writes;
+  PRAFT_CHECK_MSG(c.ops >= 0 && c.writes >= 0 && c.writes <= c.ops,
+                  "commutativity count underflow");
+  if (c.ops == 0) unapplied_.erase(it);
 }
 
 void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
@@ -268,10 +284,7 @@ void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
         own_rev_floor_ = std::max(own_rev_floor_, i);
         persister_.hard_state();
       }
-      if (!s.cmd.is_noop()) {
-        --unapplied_ops_[s.cmd.key];
-        if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-      }
+      count_out(s.cmd);
       if (s.own_pending_ack) {
         // Our proposal lost its slot to a revoker's no-op: re-propose it on
         // a fresh own slot (the client sees one completion; the server
@@ -281,14 +294,11 @@ void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
         submit(lost);
       }
       s.cmd = cmd;
-      if (!cmd.is_noop()) {
-        ++unapplied_ops_[cmd.key];
-        if (cmd.is_write()) ++unapplied_writes_[cmd.key];
-      }
+      count_in(cmd);
     }
   } else {
     s.cmd = cmd;
-    slot_got_value(i, s);
+    count_in(cmd);
   }
   s.st = St::kDecided;
   s.bal = Ballot{kDecidedBal, kNoNode};
@@ -397,10 +407,7 @@ void MenciusNode::on_snapshot_xfer(const SnapshotXfer& m) {
   // un-acked own proposals (their slots were decided without us; the client
   // retries through the server adapter).
   slots_.set_floor(m.snap.last_index, [this](LogIndex, const Slot& s) {
-    if (s.st != St::kEmpty && !s.cmd.is_noop()) {
-      --unapplied_ops_[s.cmd.key];
-      if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-    }
+    if (s.st != St::kEmpty) count_out(s.cmd);
   });
   max_seen_ = std::max(max_seen_, m.snap.last_index);
   while (next_own_ < afloor()) next_own_ += n_;
@@ -419,10 +426,7 @@ void MenciusNode::on_slot_applied(LogIndex i, const kv::Command& cmd) {
   auto it = slots_.lookup(i);
   PRAFT_CHECK(it != slots_.end());
   Slot& s = it->second;
-  if (!s.cmd.is_noop()) {
-    --unapplied_ops_[s.cmd.key];
-    if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-  }
+  count_out(s.cmd);
   if (s.own_pending_ack && acked_) acked_(s.cmd);
   if (apply_) apply_(i, cmd);
   decided_history_.emplace_back(i, cmd);
@@ -436,13 +440,10 @@ bool MenciusNode::commutes_below(LogIndex /*i*/,
   // above the probed one, which execute after it anyway) — false conflicts
   // only.
   if (cmd.is_noop()) return true;
-  if (cmd.is_read()) {
-    auto it = unapplied_writes_.find(cmd.key);
-    return it == unapplied_writes_.end() || it->second == 0;
-  }
-  auto it = unapplied_ops_.find(cmd.key);
-  const int others = (it == unapplied_ops_.end() ? 0 : it->second) - 1;
-  return others <= 0;
+  const auto it = unapplied_.find(cmd.key);
+  if (it == unapplied_.end()) return true;
+  // A read commutes with reads; anything else must be the key's only op.
+  return cmd.is_read() ? it->second.writes == 0 : it->second.ops <= 1;
 }
 
 void MenciusNode::try_ack_own() {
@@ -450,34 +451,28 @@ void MenciusNode::try_ack_own() {
     own_unacked_.clear();
     return;
   }
-  for (auto it = own_unacked_.begin(); it != own_unacked_.end();) {
-    const LogIndex i = *it;
-    if (i < afloor()) {
-      // Acked at apply time (or already re-proposed); drop the tracker.
-      it = own_unacked_.erase(it);
-      continue;
-    }
-    Slot* s = slots_.find(i);
-    if (s == nullptr) {
-      it = own_unacked_.erase(it);
-      continue;
-    }
-    if (!s->own_pending_ack) {
-      it = own_unacked_.erase(it);
-      continue;
-    }
-    // Early ack (the Mencius commutativity optimization, §5.2): our value is
-    // committed on a majority AND every earlier unexecuted slot is known and
-    // commutes with it.
-    if (s->st == St::kDecided && info_floor_ >= i &&
-        commutes_below(i, s->cmd)) {
+  // Early ack (the Mencius commutativity optimization, §5.2): our value is
+  // committed on a majority AND every earlier unexecuted slot is known
+  // (i <= info_floor_) and commutes with it. own_unacked_ is ascending, so
+  // the walk stops at the first entry above info_floor_; the entries it
+  // retires are compacted out in the same pass.
+  size_t kept = 0;
+  size_t r = 0;
+  for (; r < own_unacked_.size(); ++r) {
+    const LogIndex i = own_unacked_[r];
+    if (i > info_floor_) break;
+    // Executed (acked at apply time) or re-proposed: drop the tracker.
+    Slot* s = i < afloor() ? nullptr : slots_.find(i);
+    if (s == nullptr || !s->own_pending_ack) continue;
+    if (s->st == St::kDecided && commutes_below(i, s->cmd)) {
       s->own_pending_ack = false;
       acked_(s->cmd);
-      it = own_unacked_.erase(it);
       continue;
     }
-    ++it;
+    own_unacked_[kept++] = i;
   }
+  own_unacked_.erase(own_unacked_.begin() + static_cast<std::ptrdiff_t>(kept),
+                     own_unacked_.begin() + static_cast<std::ptrdiff_t>(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -485,26 +480,41 @@ void MenciusNode::try_ack_own() {
 // ---------------------------------------------------------------------------
 
 void MenciusNode::note_owner_watermark(NodeId owner, LogIndex decided_floor,
-                                       LogIndex rev_floor) {
+                                       LogIndex rev_floor,
+                                       std::span<const OwnItem> fresh) {
   owner_floor_[owner] = std::max(owner_floor_[owner], decided_floor);
   owner_rev_floor_[owner] = std::max(owner_rev_floor_[owner], rev_floor);
   if (owner == group_.self) return;
+  const LogIndex floor = owner_floor_[owner];
+  const LogIndex rf = owner_rev_floor_[owner];
   // Auto-decide: a ballot-0 value from `owner` below its decided watermark
   // (and above its revocation floor) IS the decided value — the owner is the
   // only ballot-0 proposer of its slots.
-  const int orank = group_.rank_of(owner);
-  const LogIndex base = afloor();
-  LogIndex i = base + ((orank - base) % n_ + n_) % n_;
-  const LogIndex floor = owner_floor_[owner];
-  const LogIndex rf = owner_rev_floor_[owner];
-  for (; i < floor; i += n_) {
-    if (i <= rf) continue;  // revoked zone: explicit decides only
+  const auto auto_decide = [&](LogIndex i) {
+    if (i <= rf) return;  // revoked zone: explicit decides only
     Slot* s = slots_.find(i);
-    if (s == nullptr) continue;
-    if (s->st == St::kValued && s->bal == Ballot{0, owner}) {
+    if (s != nullptr && s->st == St::kValued && s->bal == Ballot{0, owner}) {
       decide(i, s->cmd);
     }
+  };
+  const int orank = group_.rank_of(owner);
+  const LogIndex base = afloor();
+  LogIndex& scan = owner_scan_[static_cast<size_t>(orank)];
+  scan = std::max(scan, base + ((orank - base) % n_ + n_) % n_);
+  // Below the cursor every slot was already swept against floors that only
+  // rise; the one way a slot there turns decidable is a fresh ballot-0 value
+  // from this AcceptOwn. Decide those first: with the sweep above the cursor
+  // that follows, slots decide in ascending order, as one full rescan would.
+  std::vector<LogIndex> behind;
+  for (const OwnItem& item : fresh) {
+    const LogIndex i = item.index;
+    if (i >= base && i < scan && i < floor && owner_of(i) == owner) {
+      behind.push_back(i);
+    }
   }
+  std::sort(behind.begin(), behind.end());
+  for (LogIndex i : behind) auto_decide(i);
+  for (; scan < floor; scan += n_) auto_decide(scan);
 }
 
 void MenciusNode::on_accept_own(const AcceptOwn& m) {
@@ -545,7 +555,7 @@ void MenciusNode::on_accept_own(const AcceptOwn& m) {
       s.st = St::kValued;
       s.cmd = item.cmd;
       s.bal = Ballot{0, m.owner};
-      slot_got_value(item.index, s);
+      count_in(s.cmd);
       persist_slot(item.index);
     }
     ok.indexes.push_back(item.index);
@@ -553,7 +563,7 @@ void MenciusNode::on_accept_own(const AcceptOwn& m) {
   // Seeing someone else's slot i means our unused turns below i are dead
   // weight for everyone: cede them (skip tags, paper §A.3).
   if (max_item >= 0) skip_own_upto(max_item);
-  note_owner_watermark(m.owner, m.decided_floor, m.rev_floor);
+  note_owner_watermark(m.owner, m.decided_floor, m.rev_floor, m.items);
   if (!ok.indexes.empty()) {
     // The ok is what the owner counts toward its ballot-0 quorum: it leaves
     // only after the accepted values above are durable.
@@ -792,19 +802,10 @@ void MenciusNode::on_rev_prepare_ok(const RevPrepareOk& m) {
       Slot& s = slot(i);
       // Self-accept (the ack joins the tally via the fsync barrier below).
       if (s.st != St::kDecided) {
-        if (s.st == St::kValued && !(s.cmd == cmd)) {
-          if (!s.cmd.is_noop()) {
-            --unapplied_ops_[s.cmd.key];
-            if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-          }
+        if (s.st == St::kEmpty || !(s.cmd == cmd)) {
+          if (s.st == St::kValued) count_out(s.cmd);
           s.cmd = cmd;
-          if (!cmd.is_noop()) {
-            ++unapplied_ops_[cmd.key];
-            if (cmd.is_write()) ++unapplied_writes_[cmd.key];
-          }
-        } else if (s.st == St::kEmpty) {
-          s.cmd = cmd;
-          slot_got_value(i, s);
+          count_in(cmd);
         }
         s.st = St::kValued;
         s.bal = rev_.bal;
@@ -857,24 +858,17 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
       own_rev_floor_ = std::max(own_rev_floor_, item.index);
     }
     if (s.st != St::kDecided) {
-      if (s.st == St::kValued && !(s.cmd == item.cmd)) {
-        if (!s.cmd.is_noop()) {
-          --unapplied_ops_[s.cmd.key];
-          if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-        }
-        if (s.own_pending_ack) {
-          const kv::Command lost = s.cmd;
-          s.own_pending_ack = false;
-          submit(lost);
+      if (s.st == St::kEmpty || !(s.cmd == item.cmd)) {
+        if (s.st == St::kValued) {
+          count_out(s.cmd);
+          if (s.own_pending_ack) {
+            const kv::Command lost = s.cmd;
+            s.own_pending_ack = false;
+            submit(lost);
+          }
         }
         s.cmd = item.cmd;
-        if (!item.cmd.is_noop()) {
-          ++unapplied_ops_[item.cmd.key];
-          if (item.cmd.is_write()) ++unapplied_writes_[item.cmd.key];
-        }
-      } else if (s.st == St::kEmpty) {
-        s.cmd = item.cmd;
-        slot_got_value(item.index, s);
+        count_in(item.cmd);
       }
       s.st = St::kValued;
       s.bal = m.bal;
@@ -904,10 +898,8 @@ void MenciusNode::note_rev_ack(const consensus::Ballot& bal, LogIndex i,
   if (static_cast<int>(ait->second.size()) == group_.majority()) {
     const Slot* s = slot_if(i);
     if (s != nullptr && i >= afloor()) {
-      decide(i, s->cmd);
-      lv.slots.push_back(SlotInfo{i, s->cmd.is_noop(),
-                                  slot_if(i) != nullptr ? slot_if(i)->cmd
-                                                        : kv::noop_command()});
+      decide(i, s->cmd);  // same value, so `s` still points at the slot
+      lv.slots.push_back(SlotInfo{i, s->cmd.is_noop(), s->cmd});
     }
   }
 }
@@ -961,7 +953,7 @@ storage::RecoveryStats MenciusNode::recover(const storage::DurableImage& img) {
           sl.acks = {group_.self};  // our accept IS durable — it was replayed
         }
       }
-      slot_got_value(r.index, sl);
+      count_in(sl.cmd);
     }
     max_seen_ = std::max(max_seen_, r.index);
     ++stats.replayed;

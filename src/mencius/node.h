@@ -3,6 +3,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -150,6 +151,9 @@ class MenciusNode : public consensus::NodeIface {
   [[nodiscard]] int64_t pipeline_rollbacks() const override {
     return pipe_.rollbacks();
   }
+  /// Footprint of the commutativity table: distinct keys held by valued but
+  /// unexecuted slots. Zero once every known slot has executed.
+  [[nodiscard]] size_t unapplied_keys() const { return unapplied_.size(); }
 
  private:
   enum class St : uint8_t {
@@ -205,11 +209,19 @@ class MenciusNode : public consensus::NodeIface {
   void pump_peer(NodeId peer);
   void broadcast(Message m);
   void maintenance();  // retransmit, learn-requests, revocation triggers
+  /// Records `owner`'s published floors and auto-decides its ballot-0
+  /// values below the decided floor. `fresh` are the items of the AcceptOwn
+  /// being handled: the only slots below the owner's scan cursor that can
+  /// have become decidable since the last sweep.
   void note_owner_watermark(NodeId owner, LogIndex decided_floor,
-                            LogIndex rev_floor);
+                            LogIndex rev_floor,
+                            std::span<const OwnItem> fresh = {});
   void skip_own_upto(LogIndex boundary);  // skip unused own slots < boundary
   void decide(LogIndex i, const kv::Command& cmd);
-  void slot_got_value(LogIndex i, Slot& s);
+  /// Commutativity bookkeeping: a value entering / leaving the unexecuted
+  /// window. Every counter mutation goes through these two.
+  void count_in(const kv::Command& cmd);
+  void count_out(const kv::Command& cmd);
   void advance_floors();
   void advance_floors_inner();
   void on_slot_applied(LogIndex i, const kv::Command& cmd);
@@ -222,7 +234,7 @@ class MenciusNode : public consensus::NodeIface {
   /// the index predates the history window). O(log |history|): entries are
   /// appended in slot order.
   [[nodiscard]] const kv::Command* decided_at(LogIndex i) const;
-  [[nodiscard]] LogIndex own_decided_floor() const;
+  [[nodiscard]] LogIndex own_decided_floor();
   /// Exclusive execution floor: slots < afloor() are executed.
   [[nodiscard]] LogIndex afloor() const { return applier_.next_index(); }
 
@@ -251,10 +263,21 @@ class MenciusNode : public consensus::NodeIface {
   std::unordered_map<NodeId, LogIndex> owner_floor_;
   std::unordered_map<NodeId, LogIndex> owner_rev_floor_;
   std::unordered_map<NodeId, Time> last_heard_;
+  // Per-owner (by rank) auto-decide sweep cursor: every slot of that owner
+  // below it was swept against the owner's floors. Floors only rise and a
+  // slot gains a ballot-0 value only via AcceptOwn, so a later sweep resumes
+  // here and checks the fresh items below it instead of rescanning.
+  std::vector<LogIndex> owner_scan_;
+  // Own slots below this cursor (and at or above afloor()) are decided.
+  LogIndex own_decided_scan_ = 0;
 
-  // Commutativity bookkeeping over unexecuted-but-valued slots.
-  std::unordered_map<uint64_t, int> unapplied_ops_;
-  std::unordered_map<uint64_t, int> unapplied_writes_;
+  // Commutativity bookkeeping over unexecuted-but-valued slots. A key's
+  // entry is erased when its last such slot executes or changes value.
+  struct KeyCount {
+    int ops = 0;
+    int writes = 0;
+  };
+  std::unordered_map<uint64_t, KeyCount> unapplied_;
 
   // Pending own proposals not yet flushed.
   std::vector<OwnItem> pending_;
@@ -272,7 +295,8 @@ class MenciusNode : public consensus::NodeIface {
   std::unordered_map<NodeId, PeerOut> outbox_;
   consensus::PeerPipeline pipe_;
 
-  // Own proposals whose clients have not been acknowledged yet.
+  // Own proposals whose clients have not been acknowledged yet, ascending
+  // (submit hands out own slots in increasing order).
   std::vector<LogIndex> own_unacked_;
 
   // Decided values retained after execution so revocation prepares can still

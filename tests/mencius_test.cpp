@@ -173,6 +173,209 @@ TEST(MenciusUnitTest, SkipRangeDecidesForeignSlots) {
   ASSERT_EQ(applied.size(), 3u);  // slots 0,1,2
 }
 
+// Scan cursors and incremental early-ack bookkeeping: each case pins the
+// result a full rescan of the slot space gives.
+
+void deliver(mencius::MenciusNode& n, NodeId from, mencius::Message m) {
+  net::Packet p;
+  p.from = from;
+  p.to = n.id();
+  p.bytes = 64;
+  p.payload = std::move(m);
+  n.on_packet(p);
+}
+
+// Slots `n` reports decided in [lo, hi), probed through a LearnReq as peer
+// `asker` would see them.
+std::vector<consensus::LogIndex> decided_slots(test::ScriptedEnv& env,
+                                               mencius::MenciusNode& n,
+                                               NodeId asker,
+                                               consensus::LogIndex lo,
+                                               consensus::LogIndex hi) {
+  deliver(n, asker, mencius::LearnReq{asker, lo, hi});
+  std::vector<consensus::LogIndex> out;
+  for (const auto& sent : env.take_for(asker)) {
+    const auto* m = std::any_cast<mencius::Message>(&sent.payload);
+    if (m == nullptr) continue;
+    if (const auto* lv = std::get_if<mencius::LearnVals>(m)) {
+      for (const auto& si : lv->slots) out.push_back(si.index);
+    }
+  }
+  return out;
+}
+
+// The own decided floor `n` publishes on its next status beat.
+consensus::LogIndex published_decided_floor(test::ScriptedEnv& env) {
+  env.clear();
+  env.advance(unit_options().heartbeat_interval);
+  for (const auto& sent : env.outbox) {
+    const auto* m = std::any_cast<mencius::Message>(&sent.payload);
+    if (m == nullptr) continue;
+    if (const auto* sb = std::get_if<mencius::StatusBeat>(m)) {
+      return sb->decided_floor;
+    }
+  }
+  ADD_FAILURE() << "no status beat sent";
+  return -2;
+}
+
+mencius::AcceptOwn accept_own(NodeId owner,
+                              std::vector<mencius::OwnItem> items,
+                              consensus::LogIndex decided_floor,
+                              consensus::LogIndex rev_floor = -1) {
+  mencius::AcceptOwn ao;
+  ao.owner = owner;
+  ao.items = std::move(items);
+  ao.decided_floor = decided_floor;
+  ao.rev_floor = rev_floor;
+  return ao;
+}
+
+mencius::StatusBeat status_beat(NodeId from, consensus::LogIndex decided_floor,
+                                consensus::LogIndex rev_floor) {
+  return mencius::StatusBeat{from, decided_floor, decided_floor, rev_floor};
+}
+
+mencius::AcceptOwnOk accept_ok(NodeId acceptor,
+                               std::vector<consensus::LogIndex> indexes) {
+  mencius::AcceptOwnOk ok;
+  ok.acceptor = acceptor;
+  ok.indexes = std::move(indexes);
+  return ok;
+}
+
+kv::Command put(uint64_t key, uint64_t seq) {
+  return kv::Command{kv::Op::kPut, key, seq, 8, 0, seq};
+}
+
+TEST(MenciusUnitTest, AcceptBelowSweptOwnerFloorIsStillAutoDecided) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
+  std::vector<consensus::LogIndex> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
+    applied.push_back(i);
+  });
+  n.start();
+  // Owner 10's beat moves its decided floor to 4: the sweep passes slots 0
+  // and 3 while we hold no value for either.
+  deliver(n, 10, status_beat(10, 4, -1));
+  EXPECT_TRUE(decided_slots(env, n, 12, 0, 10).empty());
+  // The accept for slot 0 arrives late, carrying a stale floor: the value
+  // is below the owner's watermark, so it is the decided one.
+  deliver(n, 10, accept_own(10, {mencius::OwnItem{0, put(77, 1)}}, 0));
+  ASSERT_EQ(applied.size(), 1u);
+  EXPECT_EQ(applied[0], 0);
+}
+
+TEST(MenciusUnitTest, AcceptAtOrBelowOwnerRevFloorIsNotAutoDecided) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
+  std::vector<std::pair<consensus::LogIndex, kv::Command>> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command& c) {
+    applied.emplace_back(i, c);
+  });
+  n.start();
+  // Owner 10 published decided floor 7 and revoked floor 3: the sweep has
+  // passed slots 0, 3 and 6.
+  deliver(n, 10, status_beat(10, 7, 3));
+  deliver(n, 10,
+          accept_own(10,
+                     {mencius::OwnItem{0, put(76, 1)},
+                      mencius::OwnItem{3, put(77, 2)},
+                      mencius::OwnItem{6, put(78, 3)}},
+                     7, 3));
+  // Only slot 6 is above the revoked zone; 0 and 3 wait for explicit decides
+  // however far the floors move. (Our own slots 1 and 4 were ceded as skips.)
+  const std::vector<consensus::LogIndex> expected{1, 4, 6};
+  EXPECT_EQ(decided_slots(env, n, 12, 0, 10), expected);
+  deliver(n, 10, status_beat(10, 10, 3));
+  EXPECT_EQ(decided_slots(env, n, 12, 0, 10), expected);
+  EXPECT_TRUE(applied.empty());
+  // The revoker's decide notice settles slot 0 (as a skip) and it executes,
+  // followed by our skip at slot 1.
+  mencius::LearnVals lv;
+  lv.from = 12;
+  lv.slots = {mencius::SlotInfo{0, true, kv::noop_command()}};
+  deliver(n, 12, lv);
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[0].first, 0);
+  EXPECT_TRUE(applied[0].second.is_noop());
+}
+
+TEST(MenciusUnitTest, OwnDecidedFloorFollowsSnapshotJump) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
+  n.set_state_hooks([] { return kv::StoreImage{}; },
+                    [](const kv::StoreImage&, consensus::LogIndex) {});
+  n.start();
+  ASSERT_EQ(n.submit(put(1, 1)), 0);
+  deliver(n, 11, accept_ok(11, {0}));
+  ASSERT_EQ(n.submit(put(2, 2)), 3);  // undecided: the floor stops here
+  EXPECT_EQ(published_decided_floor(env), 3);
+  // A checkpoint through slot 10 jumps the apply floor past the cursor; the
+  // first own slot not known decided is now 12.
+  mencius::SnapshotXfer sx;
+  sx.from = 11;
+  sx.snap.last_index = 10;
+  deliver(n, 11, sx);
+  EXPECT_EQ(n.applied_floor(), 11);
+  EXPECT_EQ(published_decided_floor(env), 12);
+  ASSERT_EQ(n.submit(put(3, 3)), 12);
+  deliver(n, 11, accept_ok(11, {12}));
+  EXPECT_EQ(published_decided_floor(env), 15);
+}
+
+TEST(MenciusUnitTest, DecidedCommutingOwnSlotAckedPastUndecidedOwnSlot) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
+  std::vector<kv::Command> acked;
+  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.start();
+  const kv::Command first = put(5, 1);
+  const kv::Command second = put(6, 2);
+  ASSERT_EQ(n.submit(first), 1);
+  ASSERT_EQ(n.submit(second), 4);
+  // Every foreign slot below 5 holds a value (other keys, undecided).
+  deliver(n, 10,
+          accept_own(10,
+                     {mencius::OwnItem{0, put(70, 1)},
+                      mencius::OwnItem{3, put(73, 2)}},
+                     0));
+  deliver(n, 12, accept_own(12, {mencius::OwnItem{2, put(72, 1)}}, 0));
+  // Only slot 4 reaches its quorum: it is acked while slot 1 still waits.
+  deliver(n, 12, accept_ok(12, {4}));
+  ASSERT_EQ(acked.size(), 1u);
+  EXPECT_TRUE(acked[0] == second);
+  deliver(n, 10, accept_ok(10, {1}));
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_TRUE(acked[1] == first);
+}
+
+TEST(MenciusUnitTest, NothingAtOrAboveInfoFloorIsAcked) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
+  std::vector<kv::Command> acked;
+  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.start();
+  const kv::Command first = put(5, 1);
+  const kv::Command second = put(6, 2);
+  ASSERT_EQ(n.submit(first), 1);
+  ASSERT_EQ(n.submit(second), 4);
+  deliver(n, 12, accept_ok(12, {1, 4}));  // both decided
+  // Slot 0 is unknown: no own slot may be acked yet.
+  EXPECT_TRUE(acked.empty());
+  // Slot 0 gets a value; slots 2 and 3 are still unknown, so only slot 1 is
+  // below the information floor.
+  deliver(n, 10, accept_own(10, {mencius::OwnItem{0, put(70, 1)}}, 0));
+  ASSERT_EQ(acked.size(), 1u);
+  EXPECT_TRUE(acked[0] == first);
+  deliver(n, 12, accept_own(12, {mencius::OwnItem{2, put(72, 1)}}, 0));
+  EXPECT_EQ(acked.size(), 1u);  // slot 3 is still unknown
+  deliver(n, 10, accept_own(10, {mencius::OwnItem{3, put(73, 2)}}, 0));
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_TRUE(acked[1] == second);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-level tests.
 // ---------------------------------------------------------------------------
@@ -319,6 +522,37 @@ TEST(MenciusClusterTest, BrokenHandPortStallsSkippingOwners) {
     } else {
       EXPECT_LT(applied_idle, applied_busy) << "broken port stalls skipper";
     }
+  }
+}
+
+TEST(MenciusClusterTest, CommutativityTableDrainsAfterQuiesce) {
+  // Every per-key count is released when its slot executes, so a write load
+  // over many distinct keys leaves the table empty once the cluster is idle:
+  // the table is bounded by the unexecuted window, not by the key space.
+  harness::Cluster cluster(test::lan_config(46));
+  std::vector<mencius::MenciusServer*> servers;
+  auto factory = [&servers](harness::NodeHost& host, const consensus::Group& g)
+      -> std::unique_ptr<harness::ReplicaServer> {
+    harness::CostModel costs;
+    costs.enabled = false;
+    auto s = std::make_unique<mencius::MenciusServer>(host, g, costs,
+                                                      lan_mencius_options());
+    servers.push_back(s.get());
+    return s;
+  };
+  cluster.build_replicas(factory);
+  kv::WorkloadConfig wl;
+  wl.read_fraction = 0.0;
+  wl.conflict_rate = 0.0;
+  cluster.add_clients(2, wl, msec(100));
+  cluster.run_for(sec(3));
+  cluster.stop_clients();
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(test::stores_converged(cluster));
+  EXPECT_GT(cluster.server(0).store().size(), 200u);
+  ASSERT_EQ(servers.size(), 5u);
+  for (auto* s : servers) {
+    EXPECT_EQ(s->node().unapplied_keys(), 0u) << "replica " << s->id();
   }
 }
 
