@@ -26,11 +26,10 @@ namespace praft::consensus {
 ///    encoded size of queued submissions; when the pending batch crosses the
 ///    budget the flush is expedited to the next event-loop turn instead of
 ///    waiting out the delay.
-///  * Adaptive delay (batch_adaptive, AIMD): flushed bytes count as
-///    in-flight until the protocol reports progress via note_acked(); while
-///    in-flight bytes exceed the window the effective delay doubles (up to
-///    batch_delay_max — bigger, rarer batches under congestion), and it
-///    decays additively toward batch_delay_min when the pipe drains.
+///  * Backpressure (batch_backpressure_bytes): flushed bytes count as
+///    in-flight until the protocol reports progress via note_acked(), and
+///    can_accept() refuses submissions while pending + in-flight bytes are
+///    at the cap.
 ///
 /// Armed flushes are epoch-guarded: cancel() invalidates every scheduled
 /// flush, so a leader deposed (or a node crashed and restarted) between
@@ -42,18 +41,17 @@ class Batcher {
   using FlushFn = std::function<void()>;
 
   Batcher(Env& env, Duration delay, FlushFn flush)
-      : env_(env), flush_(std::move(flush)), cur_delay_(delay) {
+      : env_(env), flush_(std::move(flush)) {
     opt_.batch_delay = delay;
   }
   Batcher(Env& env, const TimingOptions& opt, FlushFn flush)
-      : env_(env), opt_(opt), flush_(std::move(flush)),
-        cur_delay_(opt.batch_delay) {}
+      : env_(env), opt_(opt), flush_(std::move(flush)) {}
 
   /// Schedules a flush after the batch delay unless one is already pending.
   void poke() {
     if (scheduled_) return;
     scheduled_ = true;
-    arm(cur_delay_);
+    arm(opt_.batch_delay);
   }
 
   /// Accounts `bytes` of encoded wire size for a queued submission and
@@ -79,7 +77,7 @@ class Batcher {
       ++expedited_count_;
       arm(0);
     } else {
-      arm(cur_delay_);
+      arm(opt_.batch_delay);
     }
   }
 
@@ -108,18 +106,12 @@ class Batcher {
 
   /// Progress report from the protocol's commit/chosen/decide path: `bytes`
   /// of previously flushed data are no longer in flight. Clamped — losing
-  /// count to a snapshot-covered range must not wedge the controller.
+  /// count to a snapshot-covered range must not wedge can_accept().
   void note_acked(size_t bytes) {
     inflight_bytes_ -= std::min(bytes, inflight_bytes_);
-    if (opt_.batch_adaptive && inflight_bytes_ <= inflight_window()) {
-      // Additive decrease toward the floor: the pipe is draining, so pay
-      // less latency per batch.
-      cur_delay_ = std::max(opt_.batch_delay_min, cur_delay_ - 1);
-    }
   }
 
   [[nodiscard]] bool pending() const { return scheduled_; }
-  [[nodiscard]] Duration delay() const { return cur_delay_; }
   [[nodiscard]] size_t pending_bytes() const { return pending_bytes_; }
   [[nodiscard]] size_t inflight_bytes() const { return inflight_bytes_; }
   [[nodiscard]] uint64_t flushes() const { return flush_count_; }
@@ -136,30 +128,13 @@ class Batcher {
       pending_bytes_ = 0;
       inflight_bytes_ += batch;
       ++flush_count_;
-      adapt();
       flush_();
     });
-  }
-
-  void adapt() {
-    if (!opt_.batch_adaptive) return;
-    if (inflight_bytes_ > inflight_window()) {
-      // Multiplicative increase of the delay under congestion: halve the
-      // flush rate, double the batch.
-      cur_delay_ = std::min(opt_.batch_delay_max,
-                            std::max<Duration>(cur_delay_ * 2, 1));
-    }
-  }
-
-  [[nodiscard]] size_t inflight_window() const {
-    return opt_.batch_inflight_window > 0 ? opt_.batch_inflight_window
-                                          : 4 * opt_.batch_flush_bytes;
   }
 
   Env& env_;
   TimingOptions opt_;
   FlushFn flush_;
-  Duration cur_delay_;
   uint64_t epoch_ = 0;
   bool scheduled_ = false;
   bool expedited_ = false;

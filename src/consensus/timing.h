@@ -37,16 +37,6 @@ struct TimingOptions {
   /// 4 KB-value workload from hoarding megabytes behind a 1 ms timer.
   /// 0 disables the byte trigger.
   size_t batch_flush_bytes = 256 * 1024;
-  /// Adaptive batching delay (AIMD on observed in-flight bytes): when on,
-  /// the effective batch delay doubles (up to batch_delay_max) while more
-  /// than batch_inflight_window bytes are un-acked, and decays additively
-  /// toward batch_delay_min when the pipe drains. Off by default — the
-  /// throughput benches opt in; fixed-delay trajectories stay untouched.
-  bool batch_adaptive = false;
-  Duration batch_delay_min = 0;
-  Duration batch_delay_max = msec(8);
-  /// In-flight byte window for the AIMD controller. 0 = 4 * batch_flush_bytes.
-  size_t batch_inflight_window = 0;
   /// Leader-memory backpressure cap: when > 0, the Batcher stops accepting
   /// new submissions (can_accept() goes false, protocols return -1 from
   /// submit and the harness retries the client op later) once

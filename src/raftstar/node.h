@@ -1,20 +1,13 @@
 #pragma once
 
-#include <map>
+#include <functional>
 #include <vector>
 
-#include "consensus/applier.h"
-#include "consensus/batcher.h"
-#include "consensus/durable_log.h"
 #include "consensus/env.h"
 #include "consensus/group.h"
-#include "consensus/log.h"
-#include "consensus/node_iface.h"
-#include "consensus/pipeline.h"
-#include "consensus/timer.h"
+#include "consensus/raft_family.h"
 #include "consensus/timing.h"
 #include "consensus/types.h"
-#include "net/packet.h"
 #include "raftstar/messages.h"
 #include "storage/persister.h"
 
@@ -24,7 +17,20 @@ namespace praft::raftstar {
 /// consensus::TimingOptions); the struct exists for protocol-scoped naming.
 struct Options : consensus::TimingOptions {};
 
-enum class Role { kFollower, kCandidate, kLeader };
+using Role = consensus::RaftRole;
+
+/// Raft*'s types, as the shared Raft-family core names them.
+struct Msgs {
+  using Entry = raftstar::Entry;
+  using Message = raftstar::Message;
+  using RequestVote = raftstar::RequestVote;
+  using VoteReply = raftstar::VoteReply;
+  using AppendEntries = raftstar::AppendEntries;
+  using AppendReply = raftstar::AppendReply;
+  using InstallSnapshot = raftstar::InstallSnapshot;
+  using InstallSnapshotReply = raftstar::InstallSnapshotReply;
+  static constexpr const char* kName = "raft*";
+};
 
 /// Raft* — the paper's Raft variant that refines MultiPaxos (§3, Fig. 2):
 ///  1. Vote replies return the voter's extra log entries; the new leader
@@ -37,55 +43,28 @@ enum class Role { kFollower, kCandidate, kLeader };
 ///     with the append's term (tracked as the uniform `log_bal_` watermark),
 ///     which is why Raft* needs no §5.4.2 commit restriction.
 ///
-/// Timers, batching, log storage and the apply watermark come from the
-/// shared consensus runtime; only the deltas above live here.
-class RaftStarNode : public consensus::NodeIface {
+/// Replication, catch-up, compaction, recovery and the runtime wiring are
+/// the Raft-family core (consensus::RaftFamilyNode, shared with Raft). This
+/// class holds only the deltas above:
+///  * on_request_vote / on_vote_reply / begin_campaign: difference #1's
+///    extra entries (and checkpoint) collected per election;
+///  * become_leader: the election snapshot plus safe-value adoption;
+///  * on_append_entries: differences #2 and #3;
+///  * on_append_reject: extend with no-ops, resend the full suffix;
+///  * advance_commit: count replicas at any term, through the PQL gate;
+///  * log_bal_ and the non-mutating optimization hooks (§4.2).
+class RaftStarNode final
+    : public consensus::RaftFamilyNode<RaftStarNode, Msgs> {
+  using Base = consensus::RaftFamilyNode<RaftStarNode, Msgs>;
+  friend Base;
+
  public:
   /// `store` (nullable) is this node's stable storage: term/votedFor, the
   /// log and its uniform ballot persist through it; dependent messages wait
   /// on the fsync barrier (storage::Persister).
   RaftStarNode(consensus::Group group, consensus::Env& env, Options opt = {},
-               storage::DurableStore* store = nullptr);
-
-  void start() override;
-  void on_packet(const net::Packet& p) override;
-
-  /// Leader-only append; returns assigned index or -1.
-  LogIndex submit(const kv::Command& cmd) override;
-
-  void set_apply(consensus::ApplyFn fn) override {
-    applier_.set_apply(std::move(fn));
-  }
-
-  void set_watermark_probe(consensus::WatermarkProbe probe) override {
-    applier_.set_probe(std::move(probe));
-  }
-
-  void set_state_hooks(consensus::StateCapture capture,
-                       consensus::StateRestore restore) override {
-    applier_.set_state_hooks(std::move(capture), std::move(restore));
-  }
-
-  /// Forces a checkpoint + log compaction at the applied watermark now.
-  void compact() override { maybe_compact(/*force=*/true); }
-  [[nodiscard]] LogIndex compaction_floor() const override {
-    return log_.base_index();
-  }
-  [[nodiscard]] size_t compactable_entries() const override {
-    return static_cast<size_t>(applier_.applied() - log_.base_index());
-  }
-  [[nodiscard]] size_t resident_log_entries() const override {
-    return log_.resident_entries();
-  }
-  [[nodiscard]] int64_t snapshots_installed() const override {
-    return snapshots_installed_;
-  }
-  [[nodiscard]] LogIndex applied_index() const override {
-    return applier_.applied();
-  }
-  [[nodiscard]] int64_t pipeline_rollbacks() const override {
-    return pipe_.rollbacks();
-  }
+               storage::DurableStore* store = nullptr)
+      : Base(std::move(group), env, opt, store) {}
 
   /// Raft*'s hard state: currentTerm + votedFor, plus the uniform log
   /// ballot (aux) — a recovered log must remember the ballot its entries
@@ -93,11 +72,10 @@ class RaftStarNode : public consensus::NodeIface {
   [[nodiscard]] consensus::HardState hard_state() const override {
     return consensus::HardState{term_, voted_for_, -1, log_bal_, -1};
   }
-  void persist_hard_state() override { persister_.hard_state(); }
-  void set_hard_state_probe(consensus::HardStateProbe probe) override {
-    persister_.set_probe(std::move(probe));
+  storage::RecoveryStats recover(const storage::DurableImage& img) override {
+    log_bal_ = img.hard.aux;
+    return Base::recover(img);
   }
-  storage::RecoveryStats recover(const storage::DurableImage& img) override;
 
   /// Hook invoked when the leader learns a new commit index (used by the
   /// ported optimizations: Raft*-PQL gates commit on lease holders here).
@@ -107,25 +85,7 @@ class RaftStarNode : public consensus::NodeIface {
   /// Re-evaluates the commit gate (PQL calls this when holder acks arrive).
   void retry_commit() { advance_commit(); }
 
-  [[nodiscard]] Role role() const { return role_; }
-  [[nodiscard]] bool is_leader() const override {
-    return role_ == Role::kLeader;
-  }
-  [[nodiscard]] Term current_term() const { return term_; }
   [[nodiscard]] Term log_bal() const { return log_bal_; }
-  [[nodiscard]] NodeId leader_hint() const override { return leader_; }
-  [[nodiscard]] LogIndex commit_index() const override {
-    return applier_.commit_index();
-  }
-  [[nodiscard]] LogIndex last_index() const { return log_.last_index(); }
-  /// Bounds-checked access (PRAFT_CHECK on out-of-range indexes).
-  [[nodiscard]] const Entry& entry_at(LogIndex i) const { return log_.at(i); }
-  [[nodiscard]] NodeId id() const override { return group_.self; }
-  [[nodiscard]] const consensus::Group& group() const { return group_; }
-
-  /// The f+1'th largest replicated index (self included) — what the commit
-  /// would be without any gate. Exposed for PQL's LeaderLearn.
-  [[nodiscard]] LogIndex quorum_match_index() const;
 
   /// Observer invoked for every successful AppendReply the leader receives
   /// (non-mutating hook per §4.2 — it may read but never mutates Raft* state;
@@ -152,63 +112,21 @@ class RaftStarNode : public consensus::NodeIface {
     entry_observer_ = std::move(obs);
   }
 
-  void force_election() override { start_election(); }
-
  private:
   void on_request_vote(const RequestVote& m);
   void on_vote_reply(const VoteReply& m);
-  void on_append_entries(const AppendEntries& m);
-  void on_append_reply(const AppendReply& m);
-  void on_install_snapshot(const InstallSnapshot& m);
-  void on_install_reply(const InstallSnapshotReply& m);
-
-  void start_election();
+  void begin_campaign();
   void become_leader();
-  void step_down(Term t);
-  void replicate_to(NodeId peer, bool uncapped = false);
-  void probe_retransmits();
-  void send_snapshot(NodeId peer);
-  void broadcast_append();
+  void on_append_entries(const AppendEntries& m);
+  void send_append_ok(NodeId leader, LogIndex coverage);
+  void on_append_reject(const AppendReply& m);
   void advance_commit();
-  void commit_to(LogIndex target);
-  void maybe_compact(bool force);
-  [[nodiscard]] Term term_at(LogIndex i) const;
-  /// Arms a durability barrier for everything appended so far (the leader
-  /// counts itself toward commit quorums only up to the mirror's durable
-  /// index — see consensus::DurableLogMirror).
-  void note_appended();
+  void store_entry(Entry e);  // append + observer
+  void observe_append_ok(const AppendReply& m);
 
-  consensus::Group group_;
-  consensus::Env& env_;
-  Options opt_;
-
-  Term term_ = 0;
-  NodeId voted_for_ = kNoNode;
-  consensus::ContiguousLog<Entry> log_;
   Term log_bal_ = 0;  // uniform per-entry ballot (see Entry doc)
 
-  // Durability plumbing (see RaftNode): fsync barriers + the shared
-  // WAL-mirroring/durable-cover machinery.
-  storage::Persister persister_;
-  consensus::DurableLogMirror<Entry> mirror_;
-  bool recovering_ = false;  // gates compaction during recovery
-
-  // Latest checkpoint (covers exactly the compacted prefix; see RaftNode).
-  consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
-  int64_t snapshots_installed_ = 0;
-
-  Role role_ = Role::kFollower;
-  NodeId leader_ = kNoNode;
-
-  // Shared runtime machinery.
-  consensus::ElectionTimer election_;
-  consensus::PeriodicTimer heartbeat_;
-  consensus::Batcher batcher_;
-  consensus::Applier applier_;
-
-  // Candidate state: vote tally plus collected extra entries per voter.
-  consensus::QuorumTracker votes_;
+  // Candidate state: collected extra entries per voter.
   struct ExtraLog {
     Term log_bal;
     LogIndex from;
@@ -220,19 +138,10 @@ class RaftStarNode : public consensus::NodeIface {
   // installed in BecomeLeader before safe-value selection.
   consensus::Snapshot election_snap_;
 
-  // Ordered maps: quorum_match_index iterates match_index_, and the visit
-  // order must be seed-stable (lint rule D1).
-  std::map<NodeId, LogIndex> next_index_;
-  std::map<NodeId, LogIndex> match_index_;
-  // Per-peer in-flight window (consensus::PeerPipeline; see RaftNode).
-  consensus::PeerPipeline pipe_;
-
   CommitGate commit_gate_;
   AppendReplyObserver append_reply_observer_;
   ReplyDecorator reply_decorator_;
   EntryObserver entry_observer_;
-
-  void store_entry(Entry e);  // append + observer
 };
 
 }  // namespace praft::raftstar

@@ -1,6 +1,7 @@
 // Tests for the shared consensus runtime layer: epoch-guarded timers,
-// batching, sparse-log gap/watermark behaviour, and the runtime protocol
-// registry that instantiates all four protocols by name.
+// batching, sparse-log gap/watermark behaviour, the Raft-family core shared
+// by Raft and Raft*, and the runtime protocol registry that instantiates all
+// four protocols by name.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -9,7 +10,9 @@
 #include "consensus/log.h"
 #include "consensus/registry.h"
 #include "consensus/timer.h"
+#include "harness/protocols.h"
 #include "scripted_env.h"
+#include "storage/wal.h"
 
 namespace praft {
 namespace {
@@ -226,6 +229,58 @@ TEST(ApplierTest, UnboundedDrainForZeroBasedSlots) {
   applier.drain(get);
   EXPECT_EQ(applies, 4);
   EXPECT_EQ(applier.next_index(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// RaftFamilyNode: the core Raft and Raft* share, tested once for both.
+// ---------------------------------------------------------------------------
+
+template <typename Protocol>
+class RaftFamilyTest : public ::testing::Test {};
+using RaftFamilyProtocols =
+    ::testing::Types<harness::RaftProtocol, harness::RaftStarProtocol>;
+TYPED_TEST_SUITE(RaftFamilyTest, RaftFamilyProtocols);
+
+TYPED_TEST(RaftFamilyTest, LeaderCountsItselfOnlyForDurableEntries) {
+  using Node = typename TypeParam::Node;
+  using Message = typename TypeParam::Message;
+  ScriptedEnv env;
+  storage::DurableStore store;
+  typename TypeParam::Options opt;
+  opt.election_timeout_min = msec(150);
+  opt.election_timeout_max = msec(300);
+  opt.heartbeat_interval = msec(50);
+  opt.batch_delay = 0;
+  opt.fsync_duration = msec(2);
+  consensus::Group g;
+  g.self = 0;
+  g.members = {0, 1, 2};
+  Node n(g, env, opt, &store);
+  n.start();
+  n.force_election();
+  typename Node::VoteReply vote;
+  vote.term = 1;
+  vote.voter = 1;
+  vote.granted = true;
+  n.on_packet(net::Packet{1, 0, 64, Message{vote}});
+  ASSERT_TRUE(n.is_leader());
+  const consensus::LogIndex idx =
+      n.submit(kv::Command{kv::Op::kPut, 1, 1, 8, 0, 1});
+  ASSERT_GT(idx, 0);
+
+  // Follower 1 holds the whole log: with the leader's own copy that is a
+  // majority, but the leader's copy is not on disk yet, so it is no replica.
+  typename Node::AppendReply ack;
+  ack.term = 1;
+  ack.follower = 1;
+  ack.ok = true;
+  ack.match_index = idx;
+  n.on_packet(net::Packet{1, 0, 64, Message{ack}});
+  EXPECT_EQ(n.commit_index(), 0);
+  env.advance(msec(1));  // the fsync is under way
+  EXPECT_EQ(n.commit_index(), 0);
+  env.advance(msec(5));  // ...and done: the leader counts itself
+  EXPECT_EQ(n.commit_index(), idx);
 }
 
 // ---------------------------------------------------------------------------

@@ -360,6 +360,17 @@ TEST(LintP1, ConvictsRawEnvSendInProtocolDir) {
   EXPECT_TRUE(has_finding(fs, "src/raft/node.cpp", 2, "P1"));
 }
 
+TEST(LintP1, ConvictsRawEnvSendInRaftFamilyCore) {
+  // Raft's and Raft*'s shared sends live in src/consensus/raft_family.h.
+  const std::string src =
+      "void send_snapshot(int peer, Payload p) {\n"  // 1
+      "  env_.send(peer, p);\n"                      // 2  <- here
+      "}\n";
+  const auto fs = lint_one("src/consensus/raft_family.h", src, "P1");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_TRUE(has_finding(fs, "src/consensus/raft_family.h", 2, "P1"));
+}
+
 TEST(LintP1, PersisterSendIsTheSanctionedSeam) {
   const std::string src =
       "void Node::reply(int to, Payload p) {\n"

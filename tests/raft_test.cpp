@@ -190,6 +190,39 @@ TEST(RaftUnitTest, LeaderStepsDownOnHigherTerm) {
   EXPECT_EQ(n.current_term(), 99);
 }
 
+TEST(RaftUnitTest, PriorTermEntryCommitsOnlyWithCurrentTermEntry) {
+  // §5.4.2: a leader never commits an entry from an older term by counting
+  // its replicas; it commits once an entry of its own term is replicated on
+  // a majority, and the older entries below commit with it. Compare
+  // RaftStarUnitTest.CommitsPriorTermEntryWithoutNoop.
+  ScriptedEnv env;
+  raft::RaftNode n(group_of(0, {0, 1, 2}), env, unit_options());
+  std::vector<consensus::LogIndex> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
+    applied.push_back(i);
+  });
+  n.start();
+  // Inherit one entry from the term-1 leader 2.
+  kv::Command c1{kv::Op::kPut, 7, 77, 8, 9, 1};
+  n.on_packet(packet(2, 0, raft::Message{raft::AppendEntries{
+                               1, 2, 0, 0, {raft::Entry{1, c1}}, 0}}));
+  ASSERT_EQ(n.last_index(), 1);
+  // Win term 2: the term-start no-op lands at index 2.
+  n.force_election();
+  n.on_packet(packet(1, 0, raft::Message{raft::VoteReply{2, 1, true}}));
+  ASSERT_TRUE(n.is_leader());
+  ASSERT_EQ(n.last_index(), 2);
+  EXPECT_EQ(n.entry_at(2).term, 2);
+  // A majority (leader + follower 1) holds the term-1 entry: no commit.
+  n.on_packet(packet(1, 0, raft::Message{raft::AppendReply{2, 1, true, 1, 0}}));
+  EXPECT_EQ(n.commit_index(), 0);
+  EXPECT_TRUE(applied.empty());
+  // The no-op reaches the same majority: both entries commit.
+  n.on_packet(packet(1, 0, raft::Message{raft::AppendReply{2, 1, true, 2, 0}}));
+  EXPECT_EQ(n.commit_index(), 2);
+  EXPECT_EQ(applied, (std::vector<consensus::LogIndex>{1, 2}));
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-level tests over the simulated network.
 // ---------------------------------------------------------------------------

@@ -459,8 +459,11 @@ void rule_c1(const Project& p, std::vector<Finding>* out) {
 // ---------------------------------------------------------------------------
 
 void rule_p1(const Project& p, std::vector<Finding>* out) {
+  // src/consensus holds the Raft-family core (raft_family.h), whose sends
+  // are Raft's and Raft*'s protocol sends.
   static const char* kProtocolDirs[] = {"src/raft", "src/raftstar",
-                                        "src/paxos", "src/mencius"};
+                                        "src/paxos", "src/mencius",
+                                        "src/consensus"};
   for (const FileModel& f : p.files()) {
     bool in_scope = false;
     for (const char* d : kProtocolDirs) in_scope |= in_dir(f.path, d);

@@ -27,10 +27,10 @@ namespace praft::lint {
 ///   C1  assert( / bare abort( in src/ — invariants must go through
 ///       PRAFT_CHECK / PRAFT_CHECK_MSG (common/check.h) so the simulator
 ///       and tests observe them as CheckFailure instead of a process kill.
-///   P1  durability-barrier bypass: in src/{raft,raftstar,paxos,mencius},
-///       every outgoing message must route through the Persister seam
-///       (persister_.send / send_unsynced); a raw env/host send skips the
-///       fsync barrier its payload may depend on.
+///   P1  durability-barrier bypass: in src/{raft,raftstar,paxos,mencius,
+///       consensus}, every outgoing message must route through the Persister
+///       seam (persister_.send / send_unsynced); a raw env/host send skips
+///       the fsync barrier its payload may depend on.
 ///
 /// Suppress a finding with `// praft-lint: allow(RULE reason)` on the same
 /// line or the line above.
