@@ -3,123 +3,33 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "chaos/invariants.h"
-#include "common/check.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
 #include "shard/shard_invariants.h"
-#include "shard/sharded_cluster.h"
 
 namespace praft::chaos {
 
 namespace {
 
-/// Current leader replica, or a deterministic fallback when nobody leads at
-/// this instant (leaderless protocols, mid-election windows).
-int resolve_leader(harness::Cluster& cluster, Time at) {
-  const int leader = cluster.leader_replica();
-  if (leader >= 0) return leader;
-  return static_cast<int>(static_cast<uint64_t>(at) %
-                          static_cast<uint64_t>(cluster.num_replicas()));
-}
-
-/// Installs one fault event. Node-targeted windows go straight into the
-/// FaultPlan; leader-targeted windows arm a simulator callback that resolves
-/// the victim when the window opens (falling back to a seed-determined
-/// replica when nobody leads at that instant).
-void arm_event(const FaultEvent& e, harness::Cluster& cluster,
-               InvariantChecker& chk) {
-  auto& faults = cluster.net().faults();
-  // Host-based id lookup: valid even while the replica is crash-destroyed
-  // (cluster.server(r) would be null inside a kCrashRestart window).
-  const auto replica_id = [&cluster](int r) { return cluster.replica_id(r); };
-  switch (e.kind) {
-    case FaultEvent::Kind::kDropBurst:
-      faults.drop_burst(e.p, e.from, e.to);
-      return;
-    case FaultEvent::Kind::kPartitionPair:
-      faults.partition_pair(replica_id(e.a), replica_id(e.b), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kIsolate:
-      faults.isolate(replica_id(e.a), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kCrash:
-      faults.crash(replica_id(e.a), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kCrashRestart: {
-      // Real crash-recover: the node object dies at `from` (unsynced durable
-      // writes lost with it) and is rebuilt from its durable image at `to`.
-      cluster.sim().at(e.from, [&cluster, &chk, e] {
-        if (!cluster.replica_up(e.a)) return;  // overlapping window
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "crash (destroy) -> replica %d (%s)",
-                      e.a, e.describe().c_str());
-        chk.note(buf);
-        cluster.crash_replica(e.a);
-      });
-      cluster.sim().at(e.to, [&cluster, e] {
-        if (!cluster.replica_up(e.a)) cluster.restart_replica(e.a);
-      });
-      return;
-    }
-    case FaultEvent::Kind::kLeaderCrash:
-    case FaultEvent::Kind::kLeaderIsolate: {
-      const bool is_crash = e.kind == FaultEvent::Kind::kLeaderCrash;
-      cluster.sim().at(e.from, [&cluster, &chk, e, is_crash] {
-        const int victim = resolve_leader(cluster, e.from);
-        const NodeId id = cluster.replica_id(victim);
-        auto& plan = cluster.net().faults();
-        if (is_crash) {
-          plan.crash(id, e.from, e.to);
-        } else {
-          plan.isolate(id, e.from, e.to);
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s -> replica %d (%s)",
-                      is_crash ? "leader_crash" : "leader_isolate", victim,
-                      e.describe().c_str());
-        chk.note(buf);
-      });
-      return;
-    }
-    case FaultEvent::Kind::kLeaderMinority: {
-      cluster.sim().at(e.from, [&cluster, &chk, e] {
-        const int victim = resolve_leader(cluster, e.from);
-        const int n = cluster.num_replicas();
-        const int kept = (victim + 1) % n;
-        auto& plan = cluster.net().faults();
-        for (int p = 0; p < n; ++p) {
-          if (p == victim || p == kept) continue;
-          plan.partition_pair(cluster.replica_id(victim),
-                              cluster.replica_id(p), e.from, e.to);
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "leader_minority -> replica %d penned with %d (%s)",
-                      victim, kept, e.describe().c_str());
-        chk.note(buf);
-      });
-      return;
-    }
-  }
-}
-
-// ---- Sharded chaos: machine-level faults over N groups. -------------------
+using Checkers = std::vector<std::unique_ptr<InvariantChecker>>;
 
 /// Fault context into every group's trace: a machine fault concerns all of
 /// them.
-void note_all(std::vector<std::unique_ptr<InvariantChecker>>& chks,
-              const std::string& event) {
+void note_all(Checkers& chks, const std::string& event) {
   for (auto& chk : chks) chk->note(event);
 }
 
-/// Machine currently hosting the plurality of group leaders, or a
-/// deterministic fallback when nobody leads at this instant.
-int resolve_leader_machine(shard::ShardedCluster& cluster, Time at) {
+/// Machine currently hosting the most group leaders (flat: the leader
+/// replica), or a deterministic fallback when nobody leads at this instant
+/// (leaderless protocols, mid-election windows).
+int resolve_leader(harness::Cluster& cluster, Time at) {
   std::vector<int> votes(static_cast<size_t>(cluster.num_machines()), 0);
   for (int g = 0; g < cluster.num_groups(); ++g) {
-    const int l = cluster.leader_of(g);
+    const int l = cluster.leader_replica(g);
     if (l >= 0) ++votes[static_cast<size_t>(cluster.member_machine(g, l))];
   }
   int best = -1;
@@ -135,40 +45,46 @@ int resolve_leader_machine(shard::ShardedCluster& cluster, Time at) {
                           static_cast<uint64_t>(cluster.num_machines()));
 }
 
-/// Machine-level arm_event: the schedule's replica indices name MACHINES,
-/// and each window applies to every group replica the machine hosts — one
-/// fault stresses several groups at once, which is the sharded failure mode
-/// single-group chaos can't reach.
-void arm_event_sharded(const FaultEvent& e, shard::ShardedCluster& cluster,
-                       std::vector<std::unique_ptr<InvariantChecker>>& chks) {
+/// Installs one fault event. The schedule's replica indices name MACHINES
+/// (flat: machine == replica), and each window applies to every replica
+/// the machine hosts — with several groups one fault stresses all of them
+/// at once. Node-targeted windows go straight into the FaultPlan;
+/// leader-targeted windows arm a simulator callback that resolves the
+/// victim when the window opens.
+void arm_event(const FaultEvent& e, harness::Cluster& cluster, Checkers& chks) {
   auto& faults = cluster.net().faults();
+  // Trace notes name what a schedule index denotes.
+  const char* unit = cluster.num_groups() > 1 ? "machine" : "replica";
+  // Host-based id lookup: valid even while replicas are crash-destroyed.
+  const auto ids = [&cluster](int m) { return cluster.machine_node_ids(m); };
+  // Cut every cross-machine pair: co-located replicas of DIFFERENT groups
+  // never talk anyway, and same-machine traffic is untouched.
+  const auto cut = [ids, &faults](int a, int b, Time from, Time to) {
+    for (NodeId x : ids(a)) {
+      for (NodeId y : ids(b)) faults.partition_pair(x, y, from, to);
+    }
+  };
   switch (e.kind) {
     case FaultEvent::Kind::kDropBurst:
       faults.drop_burst(e.p, e.from, e.to);
       return;
     case FaultEvent::Kind::kPartitionPair:
-      // Cut every cross-machine pair: co-located replicas of DIFFERENT
-      // groups never talk anyway, and same-machine traffic is untouched.
-      for (NodeId a : cluster.machine_node_ids(e.a)) {
-        for (NodeId b : cluster.machine_node_ids(e.b)) {
-          faults.partition_pair(a, b, e.from, e.to);
-        }
-      }
+      cut(e.a, e.b, e.from, e.to);
       return;
     case FaultEvent::Kind::kIsolate:
-      for (NodeId id : cluster.machine_node_ids(e.a)) {
-        faults.isolate(id, e.from, e.to);
-      }
+      for (NodeId id : ids(e.a)) faults.isolate(id, e.from, e.to);
       return;
     case FaultEvent::Kind::kCrash:
-      for (NodeId id : cluster.machine_node_ids(e.a)) {
-        faults.crash(id, e.from, e.to);
-      }
+      for (NodeId id : ids(e.a)) faults.crash(id, e.from, e.to);
       return;
     case FaultEvent::Kind::kCrashRestart: {
-      cluster.sim().at(e.from, [&cluster, &chks, e] {
+      // Real crash-recover: the node objects die at `from` (unsynced durable
+      // writes lost with them) and are rebuilt from their durable images at
+      // `to`.
+      cluster.sim().at(e.from, [&cluster, &chks, e, unit] {
+        if (!cluster.machine_up(e.a)) return;  // overlapping window
         char buf[128];
-        std::snprintf(buf, sizeof(buf), "crash (destroy) -> machine %d (%s)",
+        std::snprintf(buf, sizeof(buf), "crash (destroy) -> %s %d (%s)", unit,
                       e.a, e.describe().c_str());
         note_all(chks, buf);
         cluster.crash_machine(e.a);
@@ -179,10 +95,10 @@ void arm_event_sharded(const FaultEvent& e, shard::ShardedCluster& cluster,
     case FaultEvent::Kind::kLeaderCrash:
     case FaultEvent::Kind::kLeaderIsolate: {
       const bool is_crash = e.kind == FaultEvent::Kind::kLeaderCrash;
-      cluster.sim().at(e.from, [&cluster, &chks, e, is_crash] {
-        const int victim = resolve_leader_machine(cluster, e.from);
+      cluster.sim().at(e.from, [&cluster, &chks, ids, e, is_crash, unit] {
+        const int victim = resolve_leader(cluster, e.from);
         auto& plan = cluster.net().faults();
-        for (NodeId id : cluster.machine_node_ids(victim)) {
+        for (NodeId id : ids(victim)) {
           if (is_crash) {
             plan.crash(id, e.from, e.to);
           } else {
@@ -190,232 +106,30 @@ void arm_event_sharded(const FaultEvent& e, shard::ShardedCluster& cluster,
           }
         }
         char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s -> machine %d (%s)",
-                      is_crash ? "leader_crash" : "leader_isolate", victim,
-                      e.describe().c_str());
+        std::snprintf(buf, sizeof(buf), "%s -> %s %d (%s)",
+                      is_crash ? "leader_crash" : "leader_isolate", unit,
+                      victim, e.describe().c_str());
         note_all(chks, buf);
       });
       return;
     }
     case FaultEvent::Kind::kLeaderMinority: {
-      cluster.sim().at(e.from, [&cluster, &chks, e] {
-        const int victim = resolve_leader_machine(cluster, e.from);
+      cluster.sim().at(e.from, [&cluster, &chks, cut, e, unit] {
+        const int victim = resolve_leader(cluster, e.from);
         const int m = cluster.num_machines();
         const int kept = (victim + 1) % m;
-        auto& plan = cluster.net().faults();
         for (int p = 0; p < m; ++p) {
-          if (p == victim || p == kept) continue;
-          for (NodeId a : cluster.machine_node_ids(victim)) {
-            for (NodeId b : cluster.machine_node_ids(p)) {
-              plan.partition_pair(a, b, e.from, e.to);
-            }
-          }
+          if (p != victim && p != kept) cut(victim, p, e.from, e.to);
         }
         char buf[128];
         std::snprintf(buf, sizeof(buf),
-                      "leader_minority -> machine %d penned with %d (%s)",
+                      "leader_minority -> %s %d penned with %d (%s)", unit,
                       victim, kept, e.describe().c_str());
         note_all(chks, buf);
       });
       return;
     }
   }
-}
-
-[[nodiscard]] GroupView view_of_group(shard::ShardedCluster& cluster, int g) {
-  GroupView v;
-  v.num_replicas = cluster.replicas_per_group();
-  v.replica_up = [&cluster, g](int j) { return cluster.replica_up(g, j); };
-  v.server = [&cluster, g](int j) -> harness::ReplicaServer& {
-    return cluster.server(g, j);
-  };
-  return v;
-}
-
-/// The sharded twin of run_one: same schedule, same timing profiles, but
-/// N independent groups over `num_replicas` machines (every machine hosts a
-/// replica of every group), machine-level faults, per-group invariant
-/// checkers and the cross-group routing invariant on top.
-RunResult run_one_sharded(const RunOptions& opt, const Schedule& sched,
-                          Time faults_end) {
-  RunResult res;
-  res.protocol = opt.protocol;
-  res.seed = sched.seed;
-  res.schedule = sched.describe();
-
-  const bool durability_armed =
-      opt.crash_restarts || opt.inject_persistence_bug;
-
-  shard::ShardedClusterConfig cfg;
-  cfg.num_groups = opt.groups;
-  cfg.num_machines = opt.num_replicas;
-  cfg.replicas_per_group = opt.num_replicas;  // every machine, every group
-  cfg.spread_leaders = true;
-  cfg.protocols = {opt.protocol};
-  cfg.seed = sched.seed;
-
-  consensus::TimingOptions timing;
-  timing.election_timeout_min = msec(300);
-  timing.election_timeout_max = msec(600);
-  timing.heartbeat_interval = msec(60);
-  if (opt.wan) {
-    timing.election_timeout_min = msec(1200);
-    timing.election_timeout_max = msec(2400);
-    timing.heartbeat_interval = msec(150);
-  }
-  if (opt.inject_quorum_bug) {
-    timing.unsafe_commit_quorum = opt.num_replicas / 2;
-  }
-  timing.compaction_log_cap = opt.compaction_log_cap;
-  if (durability_armed) {
-    timing.fsync_duration = opt.fsync;
-    timing.sync_batch_delay = opt.sync_batch;
-  }
-  if (opt.inject_persistence_bug) timing.unsafe_skip_vote_fsync = true;
-  cfg.timing = timing;
-
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
-
-  // One full InvariantChecker per group — group logs are independent, so
-  // agreement/watermark/linearizability state must not mix — plus the
-  // cross-group checker watching the seams.
-  std::vector<std::unique_ptr<InvariantChecker>> chks;
-  shard::CrossGroupChecker xchk(cluster.map());
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    chks.push_back(std::make_unique<InvariantChecker>());
-    InvariantChecker& chk = *chks.back();
-    cluster.install_apply_probe(
-        g, [&chk, &xchk, g](NodeId r, consensus::LogIndex i,
-                            const kv::Command& c) {
-          chk.on_apply(r, i, c);
-          xchk.on_apply(g, r, i, c);
-        });
-    cluster.install_watermark_probe(
-        g, [&chk](NodeId r, consensus::LogIndex commit,
-                  consensus::LogIndex applied) {
-          chk.on_watermark(r, commit, applied);
-        });
-    cluster.install_snapshot_probe(
-        g, [&chk](NodeId r, consensus::LogIndex idx, uint64_t fp) {
-          chk.on_snapshot_install(r, idx, fp);
-        });
-    cluster.install_hard_state_probe(
-        g, [&chk](NodeId r, const consensus::HardState& hs) {
-          chk.on_sent_state(r, hs);
-        });
-    cluster.set_restart_probe(
-        g, [&chk](NodeId r, const consensus::HardState& recovered,
-                  const storage::RecoveryStats& stats,
-                  consensus::LogIndex applied) {
-          chk.on_restart(r, recovered, stats, applied);
-        });
-  }
-  // One reply probe observes every client; replies are checked against the
-  // owning group's agreed log.
-  cluster.install_reply_probe([&chks](int g, const kv::Command& cmd,
-                                      uint64_t value, bool ok, Time, Time) {
-    chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
-  });
-
-  if (opt.compaction_log_cap > 0) {
-    const Time end = faults_end + sec(1) + opt.quiesce;
-    for (auto& chk : chks) chk->set_memory_cap(opt.compaction_log_cap);
-    for (Time t = msec(500); t < end; t += msec(500)) {
-      cluster.sim().at(t, [&cluster, &chks] {
-        for (int g = 0; g < cluster.num_groups(); ++g) {
-          chks[static_cast<size_t>(g)]->sample_memory(view_of_group(cluster, g));
-        }
-      });
-    }
-  }
-
-  // Coverage: leadership handoffs summed across groups, sampled between
-  // events.
-  uint64_t leader_changes = 0;
-  if (!cluster.server(0, 0).leaderless()) {
-    auto last = std::make_shared<std::vector<int>>(
-        static_cast<size_t>(cluster.num_groups()), -1);
-    const Time end = faults_end + sec(1) + opt.quiesce;
-    for (Time t = msec(100); t < end; t += msec(100)) {
-      cluster.sim().at(t, [&cluster, &leader_changes, last] {
-        for (int g = 0; g < cluster.num_groups(); ++g) {
-          const int now_leader = cluster.leader_of(g);
-          auto& prev = (*last)[static_cast<size_t>(g)];
-          if (now_leader >= 0 && now_leader != prev) {
-            if (prev >= 0) ++leader_changes;
-            prev = now_leader;
-          }
-        }
-      });
-    }
-  }
-
-  auto& faults = cluster.net().faults();
-  faults.set_drop_rate(sched.drop_rate);
-  faults.set_duplicate_rate(sched.duplicate_rate);
-  faults.set_reorder_rate(sched.reorder_rate);
-  for (const FaultEvent& e : sched.events) arm_event_sharded(e, cluster, chks);
-
-  // Warm-up: every group's preferred leader, in parallel, before the fault
-  // windows open.
-  if (!cluster.server(0, 0).leaderless()) {
-    cluster.establish_leaders(sec(10));
-  } else {
-    cluster.run_for(msec(500));
-  }
-  cluster.add_clients(sched.clients_per_region, sched.workload,
-                      cluster.sim().now());
-
-  cluster.run_until(faults_end + sec(1));
-  note_all(chks, "faults over; draining clients");
-  cluster.stop_clients();
-  cluster.run_for(opt.quiesce);
-
-  res.ok = true;
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    InvariantChecker& chk = *chks[static_cast<size_t>(g)];
-    chk.finalize(view_of_group(cluster, g));
-    if (!chk.ok()) {
-      res.ok = false;
-      for (const std::string& v : chk.violations()) {
-        res.violations.push_back("[group " + std::to_string(g) + "] " + v);
-      }
-      if (res.trace.empty()) res.trace = chk.trace();
-    }
-    res.log_length = std::max<int64_t>(res.log_length, chk.max_applied());
-    res.client_ops += chk.client_ops();
-    res.snapshot_installs += chk.snapshot_installs();
-    res.restarts += chk.restarts();
-    // Group-order fold: rotate so "group 0 saw X" differs from "group 1
-    // saw X" even when per-group fingerprints collide pairwise.
-    res.trace_fingerprint =
-        (res.trace_fingerprint << 1 | res.trace_fingerprint >> 63) ^
-        chk.fingerprint();
-  }
-  if (!xchk.ok()) {
-    res.ok = false;
-    for (const std::string& v : xchk.violations()) {
-      res.violations.push_back("[cross-group] " + v);
-    }
-  }
-  res.leader_changes = leader_changes;
-  res.revocations = static_cast<uint64_t>(cluster.retired_revocations());
-  res.pipeline_rollbacks =
-      static_cast<uint64_t>(cluster.retired_pipeline_rollbacks());
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    for (int j = 0; j < cluster.replicas_per_group(); ++j) {
-      if (!cluster.replica_up(g, j)) continue;
-      auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(g, j));
-      if (ls != nullptr) {
-        res.revocations +=
-            static_cast<uint64_t>(ls->node_iface().revocations_started());
-        res.pipeline_rollbacks +=
-            static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
-      }
-    }
-  }
-  return res;
 }
 
 }  // namespace
@@ -491,17 +205,20 @@ RunResult run_one(const RunOptions& opt) {
       std::snprintf(buf, sizeof(buf), " --groups=%d", opt.groups);
       res.repro += buf;
     }
-  }
-  if (opt.groups > 1) {
-    RunResult sharded = run_one_sharded(opt, sched, faults_end);
-    sharded.repro = res.repro;
-    return sharded;
+    if (opt.num_replicas != RunOptions{}.num_replicas) {
+      std::snprintf(buf, sizeof(buf), " --replicas=%d", opt.num_replicas);
+      res.repro += buf;
+    }
   }
   const bool durability_armed =
       opt.crash_restarts || opt.inject_persistence_bug;
+  const bool sharded = opt.groups > 1;
 
+  // `groups` independent groups over `num_replicas` machines: every machine
+  // hosts one replica of every group (flat: one group, machine == replica).
   harness::ClusterConfig cfg;
   cfg.num_replicas = opt.num_replicas;
+  cfg.num_groups = opt.groups;
   cfg.seed = sched.seed;
   harness::Cluster cluster(cfg);
 
@@ -535,30 +252,63 @@ RunResult run_one(const RunOptions& opt) {
   if (opt.inject_persistence_bug) timing.unsafe_skip_vote_fsync = true;
   cluster.build_replicas(opt.protocol, timing);
 
-  InvariantChecker chk;
-  chk.attach(cluster);
+  // One full InvariantChecker per group — group logs are independent, so
+  // agreement/watermark/linearizability state must not mix — plus the
+  // cross-group checker watching the seams between groups.
+  Checkers chks;
+  shard::CrossGroupChecker xchk(cluster.map());
+  for (int g = 0; g < cluster.num_groups(); ++g) {
+    chks.push_back(std::make_unique<InvariantChecker>());
+    InvariantChecker& chk = *chks.back();
+    chk.attach(cluster, g);
+    // The group's apply probe feeds both checkers (replaces attach's).
+    cluster.install_apply_probe(
+        [&chk, &xchk, g](NodeId r, consensus::LogIndex i,
+                         const kv::Command& c) {
+          chk.on_apply(r, i, c);
+          xchk.on_apply(g, r, i, c);
+        },
+        g);
+  }
+  // Replies are checked against the owning group's agreed log.
+  cluster.install_reply_probe([&chks, &cluster](const kv::Command& cmd,
+                                                uint64_t value, bool ok, Time,
+                                                Time) {
+    chks[static_cast<size_t>(cluster.map().owner_of(cmd.key))]->on_reply(
+        cmd, value, ok);
+  });
+
   if (opt.compaction_log_cap > 0) {
     // Bounded memory: sample each replica's compactable tail between events
     // throughout the run (the trigger runs synchronously on apply paths, so
     // the cap must hold whenever the simulator is between handlers).
-    chk.set_memory_cap(opt.compaction_log_cap);
     const Time end = faults_end + sec(1) + opt.quiesce;
+    for (auto& chk : chks) chk->set_memory_cap(opt.compaction_log_cap);
     for (Time t = msec(500); t < end; t += msec(500)) {
-      cluster.sim().at(t, [&cluster, &chk] { chk.sample_memory(cluster); });
+      cluster.sim().at(t, [&cluster, &chks] {
+        for (int g = 0; g < cluster.num_groups(); ++g) {
+          chks[static_cast<size_t>(g)]->sample_memory(cluster, g);
+        }
+      });
     }
   }
 
-  // Coverage signal: count leadership handoffs by sampling between events.
+  // Coverage signal: leadership handoffs summed across groups, sampled
+  // between events.
   uint64_t leader_changes = 0;
   if (!cluster.server(0).leaderless()) {
-    auto last_leader = std::make_shared<int>(-1);
+    auto last = std::make_shared<std::vector<int>>(
+        static_cast<size_t>(cluster.num_groups()), -1);
     const Time end = faults_end + sec(1) + opt.quiesce;
     for (Time t = msec(100); t < end; t += msec(100)) {
-      cluster.sim().at(t, [&cluster, &leader_changes, last_leader] {
-        const int now_leader = cluster.leader_replica();
-        if (now_leader >= 0 && now_leader != *last_leader) {
-          if (*last_leader >= 0) ++leader_changes;
-          *last_leader = now_leader;
+      cluster.sim().at(t, [&cluster, &leader_changes, last] {
+        for (int g = 0; g < cluster.num_groups(); ++g) {
+          const int now_leader = cluster.leader_replica(g);
+          auto& prev = (*last)[static_cast<size_t>(g)];
+          if (now_leader >= 0 && now_leader != prev) {
+            if (prev >= 0) ++leader_changes;
+            prev = now_leader;
+          }
         }
       });
     }
@@ -568,14 +318,19 @@ RunResult run_one(const RunOptions& opt) {
   faults.set_drop_rate(sched.drop_rate);
   faults.set_duplicate_rate(sched.duplicate_rate);
   faults.set_reorder_rate(sched.reorder_rate);
-  for (const FaultEvent& e : sched.events) arm_event(e, cluster, chk);
+  for (const FaultEvent& e : sched.events) arm_event(e, cluster, chks);
 
-  // Warm-up: a stable leader (when the protocol has one) before the fault
-  // windows open, mirroring the paper's testbed runs.
+  // Warm-up: a stable leader per group (when the protocol has one) before
+  // the fault windows open, mirroring the paper's testbed runs. Flat runs
+  // vary the leader with the seed; sharded runs keep each group's
+  // preferred leader (member 0), which spread placement puts on distinct
+  // machines.
   if (!cluster.server(0).leaderless()) {
-    cluster.establish_leader(
-        static_cast<int>(sched.seed % static_cast<uint64_t>(opt.num_replicas)),
-        sec(10));
+    const int preferred =
+        sharded ? 0
+                : static_cast<int>(sched.seed %
+                                   static_cast<uint64_t>(opt.num_replicas));
+    cluster.establish_leader(preferred, sec(10));
   } else {
     cluster.run_for(msec(500));
   }
@@ -585,31 +340,50 @@ RunResult run_one(const RunOptions& opt) {
   // Chaos phase, then a fault-free tail: clients stop, replicas repair and
   // re-converge, invariants are finalized on the quiesced cluster.
   cluster.run_until(faults_end + sec(1));
-  chk.note("faults over; draining clients");
+  note_all(chks, "faults over; draining clients");
   cluster.stop_clients();
   cluster.run_for(opt.quiesce);
 
-  chk.finalize(cluster);
-  res.ok = chk.ok();
-  res.violations = chk.violations();
-  res.trace = chk.trace();
-  res.trace_fingerprint = chk.fingerprint();
-  res.log_length = chk.max_applied();
-  res.client_ops = chk.client_ops();
-  res.snapshot_installs = chk.snapshot_installs();
-  res.restarts = chk.restarts();
+  res.ok = xchk.ok();
+  for (int g = 0; g < cluster.num_groups(); ++g) {
+    InvariantChecker& chk = *chks[static_cast<size_t>(g)];
+    chk.finalize(cluster, g);
+    if (!chk.ok()) {
+      res.ok = false;
+      for (const std::string& v : chk.violations()) {
+        res.violations.push_back(
+            sharded ? "[group " + std::to_string(g) + "] " + v : v);
+      }
+      if (res.trace.empty()) res.trace = chk.trace();
+    }
+    res.log_length = std::max<int64_t>(res.log_length, chk.max_applied());
+    res.client_ops += chk.client_ops();
+    res.snapshot_installs += chk.snapshot_installs();
+    res.restarts += chk.restarts();
+    // Group-order fold (the identity for one group): rotate so "group 0
+    // saw X" differs from "group 1 saw X" even when per-group fingerprints
+    // collide pairwise.
+    res.trace_fingerprint =
+        (res.trace_fingerprint << 1 | res.trace_fingerprint >> 63) ^
+        chk.fingerprint();
+  }
+  for (const std::string& v : xchk.violations()) {
+    res.violations.push_back("[cross-group] " + v);
+  }
   res.leader_changes = leader_changes;
   res.revocations = static_cast<uint64_t>(cluster.retired_revocations());
   res.pipeline_rollbacks =
       static_cast<uint64_t>(cluster.retired_pipeline_rollbacks());
-  for (int i = 0; i < cluster.num_replicas(); ++i) {
-    if (!cluster.replica_up(i)) continue;
-    auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i));
-    if (ls != nullptr) {
-      res.revocations +=
-          static_cast<uint64_t>(ls->node_iface().revocations_started());
-      res.pipeline_rollbacks +=
-          static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
+  for (int g = 0; g < cluster.num_groups(); ++g) {
+    for (int i = 0; i < cluster.num_replicas(); ++i) {
+      if (!cluster.replica_up(i, g)) continue;
+      auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i, g));
+      if (ls != nullptr) {
+        res.revocations +=
+            static_cast<uint64_t>(ls->node_iface().revocations_started());
+        res.pipeline_rollbacks +=
+            static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
+      }
     }
   }
   return res;

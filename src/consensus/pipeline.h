@@ -64,8 +64,7 @@ class PeerPipeline {
         max_batches_(opt.pipeline_max_batches),
         window_max_(opt.pipeline_inflight_bytes),
         window_min_(std::max<size_t>(1, opt.pipeline_inflight_bytes / 16)),
-        retransmit_timeout_(opt.pipeline_retransmit_timeout),
-        rto_adaptive_(opt.pipeline_rto_adaptive) {}
+        retransmit_timeout_(opt.pipeline_retransmit_timeout) {}
 
   /// True when `peer` has room for one more batch. Always true with nothing
   /// outstanding (progress guarantee).
@@ -230,7 +229,7 @@ class PeerPipeline {
   }
 
   [[nodiscard]] Duration rto_of(const Peer& p) const {
-    if (!rto_adaptive_ || !p.rtt_seen) return retransmit_timeout_;
+    if (!p.rtt_seen) return retransmit_timeout_;
     return std::max(retransmit_timeout_, p.srtt + 4 * p.rttvar);
   }
 
@@ -239,7 +238,6 @@ class PeerPipeline {
   size_t window_max_;
   size_t window_min_;
   Duration retransmit_timeout_;
-  bool rto_adaptive_;
   std::unordered_map<NodeId, Peer> peers_;
   int64_t rollbacks_ = 0;
   int64_t sends_ = 0;

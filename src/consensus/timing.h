@@ -63,15 +63,11 @@ struct TimingOptions {
   /// the lowest in-flight position (windowed retransmit probe) instead of
   /// blanket per-tick resends. Default sits above the worst modeled WAN RTT
   /// (aws5 tops out at 292 ms) so healthy links never probe spuriously.
+  /// It is the floor of an RTT-adaptive timeout (Jacobson/Karels): once a
+  /// peer has an ack round-trip sample, the effective timeout is
+  /// max(this, srtt + 4 * rttvar), so links whose acks legitimately slow
+  /// down (CPU saturation, long queues) stop probing spuriously.
   Duration pipeline_retransmit_timeout = msec(600);
-  /// RTT-adaptive loss detection (Jacobson/Karels): when on, each peer keeps
-  /// a smoothed RTT + variance from ack round-trips and the effective
-  /// retransmit timeout becomes max(pipeline_retransmit_timeout,
-  /// srtt + 4 * rttvar) — the fixed value above stays as the floor (and the
-  /// fallback before the first sample), so healthy links never probe earlier
-  /// than today; links whose acks legitimately slow down (CPU saturation,
-  /// long queues) stop probing spuriously.
-  bool pipeline_rto_adaptive = true;
   /// Recovery-burst cap: loss-recovery retransmissions (Paxos re-proposes,
   /// Mencius StatusBeat retransmits) send at most this many entries per
   /// tick — deliberately smaller than the steady-state packetization cap so

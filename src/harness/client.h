@@ -4,6 +4,7 @@
 #include "harness/messages.h"
 #include "harness/metrics.h"
 #include "kv/workload.h"
+#include "shard/router.h"
 
 namespace praft::harness {
 
@@ -16,13 +17,17 @@ struct ClientOptions {
 
 /// Closed-loop client (§5 Workload): issues one request, waits for the reply,
 /// records latency, immediately issues the next. A retry timer guards against
-/// requests lost to leader changes or injected faults.
+/// requests lost to leader changes or injected faults. Every request goes to
+/// the replica `route` names for its key: in a flat cluster a one-group route
+/// to the client's regional replica, in a sharded one the contact of the
+/// group that owns the key. The route is shared, not owned.
 class ClosedLoopClient final : public PacketHandler {
  public:
   using Options = ClientOptions;
 
-  ClosedLoopClient(NodeHost& host, NodeId server, kv::WorkloadGenerator gen,
-                   Metrics& metrics, Options opt = {});
+  ClosedLoopClient(NodeHost& host, const shard::ShardRouter& route,
+                   kv::WorkloadGenerator gen, Metrics& metrics,
+                   Options opt = {});
 
   void start();
   /// Stops issuing new requests (in-flight request is abandoned).
@@ -44,7 +49,7 @@ class ClosedLoopClient final : public PacketHandler {
   void arm_retry(uint64_t seq);
 
   NodeHost& host_;
-  NodeId server_;
+  const shard::ShardRouter& route_;
   kv::WorkloadGenerator gen_;
   Metrics& metrics_;
   Options opt_;

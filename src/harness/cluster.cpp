@@ -1,185 +1,266 @@
 #include "harness/cluster.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "harness/log_server.h"
 
 namespace praft::harness {
 
 Cluster::Cluster(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.latency) {
+    : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.latency),
+      map_(cfg_.num_groups) {
   PRAFT_CHECK(cfg_.num_replicas > 0);
+  if (cfg_.num_machines == 0) cfg_.num_machines = cfg_.num_replicas;
+  PRAFT_CHECK_MSG(cfg_.num_replicas <= cfg_.num_machines,
+                  "each group member needs its own machine");
   if (cfg_.replica_sites.empty()) {
-    for (int i = 0; i < cfg_.num_replicas; ++i) {
+    for (int m = 0; m < cfg_.num_machines; ++m) {
       cfg_.replica_sites.push_back(
-          static_cast<SiteId>(i % net_.latency().num_sites()));
+          static_cast<SiteId>(m % net_.latency().num_sites()));
     }
   }
-  PRAFT_CHECK(static_cast<int>(cfg_.replica_sites.size()) == cfg_.num_replicas);
+  PRAFT_CHECK(static_cast<int>(cfg_.replica_sites.size()) ==
+              cfg_.num_machines);
+  groups_.resize(at(cfg_.num_groups));
+}
+
+int Cluster::member_machine(int g, int j) const {
+  // Stride placement: consecutive members of one group land on machines a
+  // stride apart, so a group's replica set spans the machine pool and
+  // consecutive groups' preferred leaders (member 0) land on consecutive
+  // machines. With M == R every machine hosts every group and the
+  // preferred leader of group g is machine g mod M; one group on M == R
+  // machines is the flat world, member j on machine j.
+  const int m = cfg_.num_machines;
+  const int stride = std::max(1, m / cfg_.num_replicas);
+  const int base = cfg_.spread_leaders ? g : 0;
+  return (base + j * stride) % m;
+}
+
+std::vector<NodeId> Cluster::machine_node_ids(int m) const {
+  std::vector<NodeId> ids;
+  for (int g = 0; g < num_groups(); ++g) {
+    for (int j = 0; j < num_replicas(); ++j) {
+      if (member_machine(g, j) == m) ids.push_back(replica_id(j, g));
+    }
+  }
+  return ids;
 }
 
 void Cluster::build_hosts() {
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    const SiteId site = cfg_.replica_sites[static_cast<size_t>(i)];
-    double egress = 0.0;
-    if (static_cast<size_t>(site) < cfg_.replica_egress.size()) {
-      egress = cfg_.replica_egress[static_cast<size_t>(site)];
-    }
-    replica_hosts_.push_back(
-        std::make_unique<NodeHost>(sim_, net_, site, egress));
-    group_template_.members.push_back(replica_hosts_.back()->id());
+  PRAFT_CHECK_MSG(routers_.empty(), "build_replicas called twice");
+  for (int m = 0; m < num_machines(); ++m) {
+    machine_cpus_.push_back(std::make_unique<sim::SerialResource>());
   }
-  group_template_.self = kNoNode;
+  // Every group's hosts first, so member ids are known before any server
+  // starts. Replicas co-located on one machine share its serial CPU and
+  // site but keep distinct network endpoints (one process per group).
+  for (int g = 0; g < num_groups(); ++g) {
+    Group& grp = group(g);
+    for (int j = 0; j < num_replicas(); ++j) {
+      const int m = member_machine(g, j);
+      const SiteId site = cfg_.replica_sites[at(m)];
+      const double egress = at(site) < cfg_.replica_egress.size()
+                                ? cfg_.replica_egress[at(site)]
+                                : 0.0;
+      grp.hosts.push_back(std::make_unique<NodeHost>(
+          sim_, net_, site, egress, machine_cpus_[at(m)].get()));
+      grp.members.members.push_back(grp.hosts.back()->id());
+      grp.stores.push_back(std::make_unique<storage::DurableStore>());
+    }
+    grp.members.self = kNoNode;
+  }
+  const bool flat = num_groups() == 1 && num_machines() == num_replicas();
+  for (int r = 0; r < (flat ? num_machines() : 1); ++r) {
+    routers_.emplace_back(map_);
+    for (int g = 0; g < num_groups(); ++g) {
+      routers_.back().set_target(g, replica_id(flat ? r : 0, g));
+    }
+  }
 }
 
 void Cluster::build_replicas(const ServerFactory& factory) {
-  PRAFT_CHECK_MSG(servers_.empty(), "build_replicas called twice");
-  // First pass: create hosts so every replica knows all member ids.
   build_hosts();
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    consensus::Group g = group_template_;
-    g.self = replica_hosts_[static_cast<size_t>(i)]->id();
-    servers_.push_back(factory(*replica_hosts_[static_cast<size_t>(i)], g));
-    servers_.back()->start();
+  for (int g = 0; g < num_groups(); ++g) {
+    Group& grp = group(g);
+    for (int j = 0; j < num_replicas(); ++j) {
+      consensus::Group members = grp.members;
+      members.self = replica_id(j, g);
+      grp.servers.push_back(factory(*grp.hosts[at(j)], members));
+      grp.servers.back()->start();
+    }
   }
 }
 
-std::unique_ptr<ReplicaServer> Cluster::make_named_server(int i) {
-  consensus::Group g = group_template_;
-  g.self = replica_hosts_[static_cast<size_t>(i)]->id();
-  return std::make_unique<LogServer>(*replica_hosts_[static_cast<size_t>(i)],
-                                     std::move(g), cfg_.costs, protocol_,
-                                     timing_,
-                                     stores_[static_cast<size_t>(i)].get());
+std::unique_ptr<ReplicaServer> Cluster::make_named_server(int i, int g) {
+  Group& grp = group(g);
+  consensus::Group members = grp.members;
+  members.self = replica_id(i, g);
+  return std::make_unique<LogServer>(*grp.hosts[at(i)], std::move(members),
+                                     cfg_.costs, grp.protocol, timing_,
+                                     grp.stores[at(i)].get());
 }
 
-void Cluster::build_replicas(const std::string& protocol,
+void Cluster::build_replicas(const std::vector<std::string>& protocols,
                              const consensus::TimingOptions& timing) {
   // An unknown name fails inside ProtocolRegistry::make with a message
   // listing the registered protocols (no duplicate pre-check here).
-  PRAFT_CHECK_MSG(servers_.empty(), "build_replicas called twice");
-  protocol_ = protocol;
+  PRAFT_CHECK(!protocols.empty());
   timing_ = timing;
   build_hosts();
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    stores_.push_back(std::make_unique<storage::DurableStore>());
-  }
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    servers_.push_back(make_named_server(i));
-    servers_.back()->start();
+  for (int g = 0; g < num_groups(); ++g) {
+    Group& grp = group(g);
+    grp.protocol = protocols[at(g) % protocols.size()];
+    for (int j = 0; j < num_replicas(); ++j) {
+      grp.servers.push_back(make_named_server(j, g));
+      grp.servers.back()->start();
+    }
   }
 }
 
-void Cluster::crash_replica(int i) {
+void Cluster::crash_replica(int i, int g) {
   PRAFT_CHECK(i >= 0 && i < num_replicas());
-  PRAFT_CHECK_MSG(!protocol_.empty(),
+  PRAFT_CHECK_MSG(!protocol_of(g).empty(),
                   "crash/restart requires name-built replicas (durable store)");
-  auto& server = servers_[static_cast<size_t>(i)];
+  auto& server = group(g).servers[at(i)];
   if (server == nullptr) return;  // already down
   if (auto* ls = dynamic_cast<LogServer*>(server.get())) {
     // The incarnation's coverage counters die with it; bank them first.
     retired_revocations_ += ls->node_iface().revocations_started();
     retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
   }
-  NodeHost& host = *replica_hosts_[static_cast<size_t>(i)];
+  NodeHost& host = *group(g).hosts[at(i)];
   // Order matters: first make every pending timer/fsync callback a no-op and
   // unbind in-flight deliveries, THEN free the node they capture.
   host.invalidate_scheduled();
   host.detach();
   server.reset();
   // A power cut loses every staged write no completed fsync covered.
-  stores_[static_cast<size_t>(i)]->drop_unsynced();
+  group(g).stores[at(i)]->drop_unsynced();
 }
 
-void Cluster::install_probes_on(int i) {
-  auto* ls = dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get());
+void Cluster::install_probes_on(int i, int g) {
+  const Group& grp = group(g);
+  auto* ls = dynamic_cast<LogServer*>(grp.servers[at(i)].get());
   if (ls == nullptr) return;
-  if (apply_probe_) ls->set_apply_probe(apply_probe_);
-  if (snapshot_probe_) ls->set_snapshot_probe(snapshot_probe_);
+  if (grp.apply_probe) ls->set_apply_probe(grp.apply_probe);
+  if (grp.snapshot_probe) ls->set_snapshot_probe(grp.snapshot_probe);
   const NodeId id = ls->id();
-  if (watermark_probe_) {
+  if (grp.watermark_probe) {
     ls->node_iface().set_watermark_probe(
-        [probe = watermark_probe_, id](consensus::LogIndex commit,
-                                       consensus::LogIndex applied) {
+        [probe = grp.watermark_probe, id](consensus::LogIndex commit,
+                                          consensus::LogIndex applied) {
           probe(id, commit, applied);
         });
   }
-  if (hard_state_probe_) {
+  if (grp.hard_state_probe) {
     ls->node_iface().set_hard_state_probe(
-        [probe = hard_state_probe_, id](const consensus::HardState& hs) {
+        [probe = grp.hard_state_probe, id](const consensus::HardState& hs) {
           probe(id, hs);
         });
   }
 }
 
-void Cluster::restart_replica(int i) {
+void Cluster::restart_replica(int i, int g) {
   PRAFT_CHECK(i >= 0 && i < num_replicas());
-  if (replica_up(i)) crash_replica(i);
-  servers_[static_cast<size_t>(i)] = make_named_server(i);
-  install_probes_on(i);
-  servers_[static_cast<size_t>(i)]->start();
+  if (replica_up(i, g)) crash_replica(i, g);
+  Group& grp = group(g);
+  grp.servers[at(i)] = make_named_server(i, g);
+  install_probes_on(i, g);
+  grp.servers[at(i)]->start();
   ++restarts_;
-  if (restart_probe_) {
-    auto* ls =
-        dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get());
+  if (grp.restart_probe) {
+    auto* ls = dynamic_cast<LogServer*>(grp.servers[at(i)].get());
     PRAFT_CHECK(ls != nullptr);
-    restart_probe_(ls->id(), ls->node_iface().hard_state(), ls->recovery(),
-                   ls->node_iface().applied_index());
+    grp.restart_probe(ls->id(), ls->node_iface().hard_state(),
+                      ls->recovery(), ls->node_iface().applied_index());
+  }
+}
+
+void Cluster::crash_machine(int m) {
+  for (int g = 0; g < num_groups(); ++g) {
+    for (int j = 0; j < num_replicas(); ++j) {
+      if (member_machine(g, j) == m) crash_replica(j, g);
+    }
+  }
+}
+
+bool Cluster::machine_up(int m) const {
+  for (int g = 0; g < num_groups(); ++g) {
+    for (int j = 0; j < num_replicas(); ++j) {
+      if (member_machine(g, j) == m && replica_up(j, g)) return true;
+    }
+  }
+  return false;
+}
+
+void Cluster::restart_machine(int m) {
+  for (int g = 0; g < num_groups(); ++g) {
+    for (int j = 0; j < num_replicas(); ++j) {
+      if (member_machine(g, j) == m && !replica_up(j, g)) {
+        restart_replica(j, g);
+      }
+    }
   }
 }
 
 void Cluster::add_clients(int per_region, const kv::WorkloadConfig& wl,
                           Time start_at) {
-  PRAFT_CHECK_MSG(!servers_.empty(), "build replicas before clients");
+  PRAFT_CHECK_MSG(!routers_.empty(), "build replicas before clients");
   kv::WorkloadConfig cfg = wl;
-  cfg.num_partitions = cfg_.num_replicas;
-  for (int r = 0; r < cfg_.num_replicas; ++r) {
-    const SiteId site = cfg_.replica_sites[static_cast<size_t>(r)];
-    const NodeId target = replica_id(r);
+  // Keys are pre-partitioned per client machine; with several groups the
+  // hash map then spreads each partition's keys over every group, so all
+  // groups see traffic from all machines.
+  cfg.num_partitions = num_machines();
+  for (int m = 0; m < num_machines(); ++m) {
+    const SiteId site = cfg_.replica_sites[at(m)];
+    const shard::ShardRouter& route =
+        routers_.size() == 1 ? routers_.front() : routers_[at(m)];
     for (int c = 0; c < per_region; ++c) {
       client_hosts_.push_back(std::make_unique<NodeHost>(sim_, net_, site));
-      kv::WorkloadGenerator gen(cfg, r, sim_.rng().split());
+      kv::WorkloadGenerator gen(cfg, m, sim_.rng().split());
       ClosedLoopClient::Options copt;
       copt.start_at = start_at;
       clients_.push_back(std::make_unique<ClosedLoopClient>(
-          *client_hosts_.back(), target, std::move(gen), metrics_, copt));
+          *client_hosts_.back(), route, std::move(gen), metrics_, copt));
       if (reply_probe_) clients_.back()->set_reply_probe(reply_probe_);
       clients_.back()->start();
     }
   }
 }
 
-int Cluster::reinstall_probes() {
+int Cluster::reinstall_probes(int g) {
   int hooked = 0;
-  for (int i = 0; i < num_replicas(); ++i) {
-    if (!replica_up(i)) continue;
-    if (dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get()) ==
-        nullptr) {
+  for (int j = 0; j < num_replicas(); ++j) {
+    if (!replica_up(j, g) ||
+        dynamic_cast<LogServer*>(group(g).servers[at(j)].get()) == nullptr) {
       continue;
     }
-    install_probes_on(i);
+    install_probes_on(j, g);
     ++hooked;
   }
   return hooked;
 }
 
-int Cluster::install_apply_probe(ApplyProbe probe) {
-  apply_probe_ = std::move(probe);
-  return reinstall_probes();
+int Cluster::install_apply_probe(ApplyProbe probe, int g) {
+  group(g).apply_probe = std::move(probe);
+  return reinstall_probes(g);
 }
 
-int Cluster::install_watermark_probe(WatermarkProbe probe) {
-  watermark_probe_ = std::move(probe);
-  return reinstall_probes();
+int Cluster::install_watermark_probe(WatermarkProbe probe, int g) {
+  group(g).watermark_probe = std::move(probe);
+  return reinstall_probes(g);
 }
 
-int Cluster::install_snapshot_probe(SnapshotProbe probe) {
-  snapshot_probe_ = std::move(probe);
-  return reinstall_probes();
+int Cluster::install_snapshot_probe(SnapshotProbe probe, int g) {
+  group(g).snapshot_probe = std::move(probe);
+  return reinstall_probes(g);
 }
 
-int Cluster::install_hard_state_probe(HardStateProbe probe) {
-  hard_state_probe_ = std::move(probe);
-  return reinstall_probes();
+int Cluster::install_hard_state_probe(HardStateProbe probe, int g) {
+  group(g).hard_state_probe = std::move(probe);
+  return reinstall_probes(g);
 }
 
 void Cluster::install_reply_probe(ClosedLoopClient::ReplyProbe probe) {
@@ -189,30 +270,43 @@ void Cluster::install_reply_probe(ClosedLoopClient::ReplyProbe probe) {
 
 int Cluster::establish_leader(int preferred, Duration deadline) {
   PRAFT_CHECK(preferred >= 0 && preferred < num_replicas());
-  // Give the preferred replica a head start on everyone's election timers.
-  sim_.after(msec(1), [this, preferred] {
-    if (replica_up(preferred)) {
-      servers_[static_cast<size_t>(preferred)]->trigger_election();
-    }
-  });
+  // Give each group's preferred replica a head start on everyone's election
+  // timers, all in parallel: the groups are independent, so N elections
+  // cost one election's simulated time.
+  for (int g = 0; g < num_groups(); ++g) {
+    sim_.after(msec(1), [this, g, preferred] {
+      if (replica_up(preferred, g)) server(preferred, g).trigger_election();
+    });
+  }
   const Time limit = sim_.now() + deadline;
   while (sim_.now() < limit) {
     sim_.run_for(msec(50));
-    const int leader = leader_replica();
-    if (leader >= 0) return leader;
+    if (groups_led() == num_groups()) break;
+  }
+  return leader_replica(0);
+}
+
+int Cluster::leader_replica(int g) const {
+  const Group& grp = group(g);
+  for (size_t j = 0; j < grp.servers.size(); ++j) {
+    if (grp.servers[j] == nullptr) continue;  // crashed (awaiting restart)
+    const NodeId id = grp.servers[j]->id();
+    // A crashed replica may still believe it leads; it does not count.
+    if (!net_.node_up(id) || net_.faults().is_down(id, sim_.now())) continue;
+    if (grp.servers[j]->is_leader()) return static_cast<int>(j);
   }
   return -1;
 }
 
-int Cluster::leader_replica() const {
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    if (servers_[i] == nullptr) continue;  // crashed (awaiting restart)
-    const NodeId id = servers_[i]->id();
-    // A crashed replica may still believe it leads; it does not count.
-    if (!net_.node_up(id) || net_.faults().is_down(id, sim_.now())) continue;
-    if (servers_[i]->is_leader()) return static_cast<int>(i);
+int Cluster::groups_led() const {
+  int led = 0;
+  for (int g = 0; g < num_groups(); ++g) {
+    const Group& grp = group(g);
+    const bool leaderless =
+        grp.servers[0] != nullptr && grp.servers[0]->leaderless();
+    if (leaderless || leader_replica(g) >= 0) ++led;
   }
-  return -1;
+  return led;
 }
 
 uint64_t Cluster::client_retries() const {

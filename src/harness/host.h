@@ -30,8 +30,9 @@ class PacketHandler {
 /// A host normally owns its CPU (one endpoint == one machine). When
 /// `shared_cpu` is supplied, service time is billed against that external
 /// resource instead — several endpoints then contend for one serial CPU,
-/// which is how the shard layer models multiple consensus-group replicas
-/// co-located on one physical machine.
+/// which is how harness::Cluster models its machines: every replica host
+/// bills the CPU of the machine it sits on, and replicas of several
+/// consensus groups co-located on one machine contend for it.
 class NodeHost final : public consensus::Env {
  public:
   NodeHost(sim::Simulator& sim, sim::Network& net, SiteId site,
@@ -44,8 +45,10 @@ class NodeHost final : public consensus::Env {
 
   /// Crash support: invalidates every callback scheduled through this Env so
   /// far — they become no-ops when the simulator fires them. Called by
-  /// Cluster::crash_replica before destroying the node object, so timer and
-  /// fsync-completion closures can never touch freed protocol state.
+  /// Cluster::crash_replica (which crash_machine runs for every replica a
+  /// machine hosts, of every group) before destroying the node object, so
+  /// timer and fsync-completion closures can never touch freed protocol
+  /// state.
   void invalidate_scheduled() { ++sched_epoch_; }
 
   [[nodiscard]] NodeId id() const { return id_; }

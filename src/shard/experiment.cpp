@@ -1,18 +1,16 @@
 #include "shard/experiment.h"
 
 #include "common/check.h"
-#include "shard/sharded_cluster.h"
+#include "harness/cluster.h"
 
 namespace praft::shard {
 
 ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
-  ShardedClusterConfig cc;
+  harness::ClusterConfig cc;
+  cc.num_replicas = cfg.replicas_per_group;
   cc.num_groups = cfg.num_groups;
   cc.num_machines = cfg.num_machines;
-  cc.replicas_per_group = cfg.replicas_per_group;
   cc.spread_leaders = cfg.spread_leaders;
-  cc.protocols = {cfg.protocol};
-  cc.timing = cfg.timing;
   cc.seed = cfg.seed;
   cc.costs.enabled = cfg.model_cpu;
   if (cfg.flat_rtt >= 0) {
@@ -20,11 +18,12 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
     // metrics stay per-machine.
     cc.latency = sim::LatencyMatrix(cfg.num_machines, cfg.flat_rtt);
   }
-  ShardedCluster cluster(std::move(cc));
-  cluster.build();
+  harness::Cluster cluster(std::move(cc));
+  cluster.build_replicas(cfg.protocol, cfg.timing);
 
   ShardExperimentResult res;
-  res.groups_led = cluster.establish_leaders();
+  cluster.establish_leader(0);
+  res.groups_led = cluster.groups_led();
   PRAFT_CHECK_MSG(res.groups_led == cfg.num_groups,
                   "not every group elected a leader");
 

@@ -11,12 +11,13 @@
 namespace praft::shard {
 
 /// Client-side routing table: key -> owning group (via the ShardMap) ->
-/// contact replica for that group. The contact is static — the group's
-/// preferred-leader replica under the cluster's placement policy — so a
-/// router lookup is two array reads on the client hot path. Leader movement
-/// (elections, chaos faults) does not invalidate it: the contacted replica
-/// submits when it leads and forwards to the real leader otherwise (the
-/// same etcd-style path single-group clients already rely on).
+/// contact replica for that group. The contact is static — in a flat
+/// cluster the client's regional replica (a one-group route), otherwise the
+/// group's preferred-leader replica under the cluster's placement policy —
+/// so a router lookup is two array reads on the client hot path. Leader
+/// movement (elections, chaos faults) does not invalidate it: the contacted
+/// replica submits when it leads and forwards to the real leader otherwise
+/// (etcd-style).
 class ShardRouter {
  public:
   explicit ShardRouter(ShardMap map)

@@ -91,6 +91,59 @@ TEST(ChaosRunnerTest, InjectedQuorumBugIsCaughtWithin50Seeds) {
   }
 }
 
+TEST(ChaosRunnerTest, ReproCarriesReplicaCount) {
+  // A repro line must replay the same world: a 3-replica run replayed on the
+  // default 5 replicas would expand the seed into a different schedule.
+  RunOptions opt;
+  opt.protocol = "raft";
+  opt.seed = 3;
+  opt.num_replicas = 3;
+  EXPECT_NE(run_one(opt).repro.find(" --replicas=3"), std::string::npos);
+  opt.num_replicas = 5;  // the default stays implicit
+  EXPECT_EQ(run_one(opt).repro.find("--replicas"), std::string::npos);
+}
+
+TEST(ChaosRunnerTest, FingerprintsPinned) {
+  // Trace fingerprints of one seed per protocol, flat, flat with
+  // crash-restarts + compaction, and sharded over three groups. A refactor
+  // that claims to leave chaos trajectories unchanged must leave these
+  // values unchanged; a change that moves them on purpose updates them and
+  // says why.
+  struct Pin {
+    const char* protocol;
+    int mode;  // 0 flat, 1 flat + restarts + compaction cap 64, 2 groups=3
+    uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {"mencius", 0, 0x154cba0b405c64b3ull},
+      {"multipaxos", 0, 0x8fe178a29f5eb1ecull},
+      {"raft", 0, 0x8c27a1cdb135be6aull},
+      {"raftstar", 0, 0x774d06f9e3cedc0cull},
+      {"mencius", 1, 0xb4fed77bc1bc1ad8ull},
+      {"multipaxos", 1, 0xe6d07f7fc27890d4ull},
+      {"raft", 1, 0x9a72315ebb602079ull},
+      {"raftstar", 1, 0xa62e8ee7a9b9aa72ull},
+      {"mencius", 2, 0xc4545b68a827179cull},
+      {"multipaxos", 2, 0xea2c1a07b83d3a6aull},
+      {"raft", 2, 0x58411070a42aae7dull},
+      {"raftstar", 2, 0x10e1d5e84a4880edull},
+  };
+  for (const Pin& pin : pins) {
+    RunOptions opt;
+    opt.protocol = pin.protocol;
+    opt.seed = 3;
+    if (pin.mode == 1) {
+      opt.crash_restarts = true;
+      opt.compaction_log_cap = 64;
+    }
+    if (pin.mode == 2) opt.groups = 3;
+    const RunResult r = run_one(opt);
+    EXPECT_TRUE(r.ok) << pin.protocol << " mode " << pin.mode;
+    EXPECT_EQ(r.trace_fingerprint, pin.fingerprint)
+        << pin.protocol << " mode " << pin.mode;
+  }
+}
+
 TEST(InvariantCheckerTest, FlagsDivergentCommandAtSameIndex) {
   InvariantChecker chk;
   kv::Command put;

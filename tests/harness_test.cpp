@@ -107,8 +107,10 @@ TEST(ClientTest, RetriesAfterTimeout) {
   harness::ClosedLoopClient::Options copt;
   copt.retry_timeout = sec(1);
   harness::Metrics metrics;
-  harness::ClosedLoopClient client(host, cluster.server(0).id(),
-                                   std::move(gen), metrics, copt);
+  shard::ShardRouter route(shard::ShardMap(1));
+  route.set_target(0, cluster.server(0).id());
+  harness::ClosedLoopClient client(host, route, std::move(gen), metrics,
+                                   copt);
   client.start();
   cluster.run_for(sec(5));
   EXPECT_GE(client.retries(), 3u);

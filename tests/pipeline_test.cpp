@@ -197,15 +197,6 @@ TEST(PeerPipeline, RetransmitDueUsesAdaptiveRto) {
   EXPECT_TRUE(p.retransmit_due(1, msec(300) + msec(900)));
 }
 
-TEST(PeerPipeline, AdaptiveRtoCanBeDisabled) {
-  consensus::TimingOptions o = pipe_opts(10000, 16);
-  o.pipeline_rto_adaptive = false;
-  consensus::PeerPipeline p(o);
-  p.on_send(1, 1, 10, 100, /*now=*/0);
-  p.on_ack(1, 10, msec(300));
-  EXPECT_EQ(p.rto(1), msec(600));  // fixed timeout, as before PR 9
-}
-
 TEST(PeerPipeline, SteadyRttConvergesAndVarianceDecays) {
   consensus::PeerPipeline p(pipe_opts(1 << 20, 64));
   // Repeated identical 250 ms samples: srtt pins to 250 ms and rttvar

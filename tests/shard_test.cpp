@@ -5,12 +5,11 @@
 
 #include "chaos/invariants.h"
 #include "consensus/timing.h"
+#include "harness/cluster.h"
 #include "kv/workload.h"
-#include "shard/experiment.h"
 #include "shard/router.h"
 #include "shard/shard_invariants.h"
 #include "shard/shard_map.h"
-#include "shard/sharded_cluster.h"
 
 namespace praft {
 namespace {
@@ -24,48 +23,15 @@ consensus::TimingOptions fast_timing() {
   return t;
 }
 
-shard::ShardedClusterConfig small_config(int groups, int machines,
-                                         int replicas) {
-  shard::ShardedClusterConfig cfg;
+harness::ClusterConfig small_config(int groups, int machines, int replicas) {
+  harness::ClusterConfig cfg;
   cfg.num_groups = groups;
   cfg.num_machines = machines;
-  cfg.replicas_per_group = replicas;
-  cfg.timing = fast_timing();
+  cfg.num_replicas = replicas;
   cfg.latency = sim::LatencyMatrix(machines, msec(1));
   cfg.costs.enabled = false;
   cfg.seed = 7;
   return cfg;
-}
-
-chaos::GroupView view_of(shard::ShardedCluster& cluster, int g) {
-  chaos::GroupView v;
-  v.num_replicas = cluster.replicas_per_group();
-  v.replica_up = [&cluster, g](int j) { return cluster.replica_up(g, j); };
-  v.server = [&cluster, g](int j) -> harness::ReplicaServer& {
-    return cluster.server(g, j);
-  };
-  return v;
-}
-
-/// Wires one full InvariantChecker into group `g` (the same probes the
-/// sharded chaos runner installs).
-void attach_group(shard::ShardedCluster& cluster, int g,
-                  chaos::InvariantChecker& chk) {
-  cluster.install_apply_probe(
-      g, [&chk](NodeId r, consensus::LogIndex i, const kv::Command& c) {
-        chk.on_apply(r, i, c);
-      });
-  cluster.install_watermark_probe(
-      g, [&chk](NodeId r, consensus::LogIndex commit,
-                consensus::LogIndex applied) {
-        chk.on_watermark(r, commit, applied);
-      });
-  cluster.set_restart_probe(
-      g, [&chk](NodeId r, const consensus::HardState& hs,
-                const storage::RecoveryStats& stats,
-                consensus::LogIndex applied) {
-        chk.on_restart(r, hs, stats, applied);
-      });
 }
 
 TEST(ShardMapTest, DeterministicAcrossInstances) {
@@ -109,51 +75,54 @@ TEST(ShardRouterTest, RoutesEveryKeyToOwningGroupTarget) {
   }
 }
 
-TEST(ShardedClusterTest, SpreadPlacementLandsLeadersOnDistinctMachines) {
+TEST(GroupedClusterTest, SpreadPlacementLandsLeadersOnDistinctMachines) {
   auto cfg = small_config(4, 5, 5);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
-  ASSERT_EQ(cluster.establish_leaders(), 4);
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
+  cluster.establish_leader(0);
+  ASSERT_EQ(cluster.groups_led(), 4);
   std::set<int> leader_machines;
   for (int g = 0; g < 4; ++g) {
     // Under spread placement the preferred leader (member 0) wins its
     // group's first election, and consecutive groups' leaders land on
     // consecutive machines.
-    EXPECT_EQ(cluster.leader_of(g), 0) << "group " << g;
+    EXPECT_EQ(cluster.leader_replica(g), 0) << "group " << g;
     EXPECT_EQ(cluster.preferred_leader_machine(g), g % 5);
     leader_machines.insert(cluster.preferred_leader_machine(g));
   }
   EXPECT_EQ(leader_machines.size(), 4u);  // all distinct while N <= M
 }
 
-TEST(ShardedClusterTest, CoLocatedPlacementPilesLeadersOnMachineZero) {
+TEST(GroupedClusterTest, CoLocatedPlacementPilesLeadersOnMachineZero) {
   auto cfg = small_config(4, 5, 5);
   cfg.spread_leaders = false;
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
   for (int g = 0; g < 4; ++g) {
     EXPECT_EQ(cluster.preferred_leader_machine(g), 0);
   }
 }
 
-TEST(ShardedClusterTest, EveryOpLandsInItsOwningGroup) {
+TEST(GroupedClusterTest, EveryOpLandsInItsOwningGroup) {
   // End-to-end routing property: run a real sharded workload and let the
   // cross-group checker watch every apply on every replica of every group.
   auto cfg = small_config(3, 5, 5);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
 
   shard::CrossGroupChecker xchk(cluster.map());
   std::vector<int64_t> group_applies(3, 0);
   for (int g = 0; g < 3; ++g) {
     cluster.install_apply_probe(
-        g, [&xchk, &group_applies, g](NodeId r, consensus::LogIndex i,
-                                      const kv::Command& c) {
+        [&xchk, &group_applies, g](NodeId r, consensus::LogIndex i,
+                                   const kv::Command& c) {
           xchk.on_apply(g, r, i, c);
           if (!c.is_noop()) ++group_applies[static_cast<size_t>(g)];
-        });
+        },
+        g);
   }
-  ASSERT_EQ(cluster.establish_leaders(), 3);
+  cluster.establish_leader(0);
+  ASSERT_EQ(cluster.groups_led(), 3);
 
   kv::WorkloadConfig wl;
   wl.read_fraction = 0.5;
@@ -172,24 +141,25 @@ TEST(ShardedClusterTest, EveryOpLandsInItsOwningGroup) {
   }
 }
 
-TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
+TEST(GroupedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   // Machine 0 hosts ONLY group 0 here (4 machines, 3-way groups, stride 1:
   // group 0 -> {0,1,2}, group 1 -> {1,2,3}), so a machine-0 crash is a
   // group-0-only fault. Group 1's checker must see a clean, restart-free
   // run while group 0 absorbs a real crash-restart.
-  auto cfg = small_config(2, 4, 3);
-  cfg.timing.fsync_duration = msec(1);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  consensus::TimingOptions timing = fast_timing();
+  timing.fsync_duration = msec(1);
+  harness::Cluster cluster(small_config(2, 4, 3));
+  cluster.build_replicas("raft", timing);
   ASSERT_EQ(cluster.member_machine(0, 0), 0);
   for (int j = 0; j < 3; ++j) {
     ASSERT_NE(cluster.member_machine(1, j), 0);
   }
 
   chaos::InvariantChecker chk0, chk1;
-  attach_group(cluster, 0, chk0);
-  attach_group(cluster, 1, chk1);
-  ASSERT_EQ(cluster.establish_leaders(), 2);
+  chk0.attach(cluster, 0);
+  chk1.attach(cluster, 1);
+  cluster.establish_leader(0);
+  ASSERT_EQ(cluster.groups_led(), 2);
 
   kv::WorkloadConfig wl;
   cluster.add_clients(3, wl, cluster.sim().now());
@@ -202,8 +172,8 @@ TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   cluster.stop_clients();
   cluster.run_for(sec(5));
 
-  chk0.finalize(view_of(cluster, 0));
-  chk1.finalize(view_of(cluster, 1));
+  chk0.finalize(cluster, 0);
+  chk1.finalize(cluster, 1);
   EXPECT_TRUE(chk0.ok()) << (chk0.violations().empty()
                                  ? ""
                                  : chk0.violations().front());
@@ -215,27 +185,30 @@ TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   EXPECT_EQ(cluster.restarts(), 1);
 }
 
-TEST(ShardedClusterTest, MixedProtocolGroupsConvergeTogether) {
+TEST(GroupedClusterTest, MixedProtocolGroupsConvergeTogether) {
   // One deployment, four groups, four different protocols — the registry
   // seam the sharded harness is built on. Every group must elect (or, for
   // Mencius, coordinate) independently and converge on its own agreed log.
-  auto cfg = small_config(4, 5, 5);
-  cfg.protocols = {"raft", "multipaxos", "raftstar", "mencius"};
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(small_config(4, 5, 5));
+  cluster.build_replicas(
+      std::vector<std::string>{"raft", "multipaxos", "raftstar", "mencius"},
+      fast_timing());
   EXPECT_EQ(cluster.protocol_of(0), "raft");
   EXPECT_EQ(cluster.protocol_of(3), "mencius");
 
   std::vector<std::unique_ptr<chaos::InvariantChecker>> chks;
   for (int g = 0; g < 4; ++g) {
     chks.push_back(std::make_unique<chaos::InvariantChecker>());
-    attach_group(cluster, g, *chks.back());
+    chks.back()->attach(cluster, g);
   }
-  cluster.install_reply_probe([&chks](int g, const kv::Command& cmd,
-                                      uint64_t value, bool ok, Time, Time) {
-    chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
+  cluster.install_reply_probe([&chks, &cluster](const kv::Command& cmd,
+                                                uint64_t value, bool ok, Time,
+                                                Time) {
+    chks[static_cast<size_t>(cluster.map().owner_of(cmd.key))]->on_reply(
+        cmd, value, ok);
   });
-  ASSERT_EQ(cluster.establish_leaders(), 4);
+  cluster.establish_leader(0);
+  ASSERT_EQ(cluster.groups_led(), 4);
 
   kv::WorkloadConfig wl;
   wl.read_fraction = 0.5;
@@ -245,7 +218,7 @@ TEST(ShardedClusterTest, MixedProtocolGroupsConvergeTogether) {
   cluster.run_for(sec(3));
 
   for (int g = 0; g < 4; ++g) {
-    chks[static_cast<size_t>(g)]->finalize(view_of(cluster, g));
+    chks[static_cast<size_t>(g)]->finalize(cluster, g);
     EXPECT_TRUE(chks[static_cast<size_t>(g)]->ok())
         << cluster.protocol_of(g) << ": "
         << (chks[static_cast<size_t>(g)]->violations().empty()

@@ -92,6 +92,7 @@ struct PlannedRun {
   bool inject_persistence_bug = false;
   bool wan = false;
   int groups = 1;
+  int replicas = 5;
 };
 
 /// A (protocol, seed) run under the batch-wide CLI flags — the ONE place the
@@ -108,6 +109,7 @@ PlannedRun planned_seed_run(const CliOptions& cli, const std::string& protocol,
   run.inject_persistence_bug = cli.inject_persistence_bug;
   run.wan = cli.wan;
   run.groups = cli.groups;
+  run.replicas = cli.replicas;
   return run;
 }
 
@@ -130,6 +132,11 @@ std::string flags_of(const PlannedRun& run) {
     char gb[32];
     std::snprintf(gb, sizeof(gb), " --groups=%d", run.groups);
     flags += gb;
+  }
+  if (run.replicas != chaos::RunOptions{}.num_replicas) {
+    char rb[32];
+    std::snprintf(rb, sizeof(rb), " --replicas=%d", run.replicas);
+    flags += rb;
   }
   return flags;
 }
@@ -273,6 +280,14 @@ bool load_seed_file(const CliOptions& cli,
         return false;
       }
       for (auto& r : *runs) r.groups = groups;
+    } else if (parse_flag(flag.c_str(), "--replicas", &v) && v != nullptr) {
+      int replicas = 0;
+      if (!parse_int_value(v, &replicas) || replicas < 2) {
+        std::fprintf(stderr, "%s:%d: bad --replicas value '%s'\n",
+                     cli.seed_file.c_str(), lineno, v);
+        return false;
+      }
+      for (auto& r : *runs) r.replicas = replicas;
     } else {
       std::fprintf(stderr, "%s:%d: unknown per-run flag '%s'\n",
                    cli.seed_file.c_str(), lineno, flag.c_str());
@@ -312,19 +327,6 @@ bool load_seed_file(const CliOptions& cli,
                      cli.seed_file.c_str(), lineno, header.c_str());
         return false;
       }
-      // The block format does not carry the replica count; an event naming
-      // a replica the replaying cluster does not have must be a clean
-      // usage error, not an out-of-bounds crash mid-batch.
-      for (const chaos::FaultEvent& e : sched.events) {
-        if (e.a >= cli.replicas || e.b >= cli.replicas) {
-          std::fprintf(stderr,
-                       "%s:%d: event targets replica %d but the cluster has "
-                       "%d replicas (replay with a bigger --replicas)\n",
-                       cli.seed_file.c_str(), lineno, std::max(e.a, e.b),
-                       cli.replicas);
-          return false;
-        }
-      }
       std::vector<PlannedRun> block_runs;
       PlannedRun run = planned_seed_run(cli, protocol, sched.seed);
       run.schedule = sched;
@@ -332,6 +334,19 @@ bool load_seed_file(const CliOptions& cli,
       std::string flag;
       while (hs >> flag) {
         if (!apply_run_flag(flag, &block_runs, lineno)) return false;
+      }
+      // An event naming a replica the replaying cluster does not have must
+      // be a clean usage error, not an out-of-bounds crash mid-batch.
+      const int replicas = block_runs.front().replicas;
+      for (const chaos::FaultEvent& e : sched.events) {
+        if (e.a >= replicas || e.b >= replicas) {
+          std::fprintf(stderr,
+                       "%s:%d: event targets replica %d but the cluster has "
+                       "%d replicas (replay with a bigger --replicas)\n",
+                       cli.seed_file.c_str(), lineno, std::max(e.a, e.b),
+                       replicas);
+          return false;
+        }
       }
       planned->insert(planned->end(), block_runs.begin(), block_runs.end());
       continue;
@@ -383,13 +398,12 @@ PlannedRun planned_run_of(const CliOptions& cli,
   return run;
 }
 
-chaos::RunOptions run_options_of(const CliOptions& cli,
-                                 const PlannedRun& run) {
+chaos::RunOptions run_options_of(const PlannedRun& run) {
   chaos::RunOptions opt;
   opt.protocol = run.protocol;
   opt.seed = run.seed;
   opt.schedule = run.schedule;
-  opt.num_replicas = cli.replicas;
+  opt.num_replicas = run.replicas;
   opt.inject_quorum_bug = run.inject_quorum_bug;
   opt.compaction_log_cap = run.compaction_cap;
   opt.crash_restarts = run.restarts;
@@ -424,7 +438,7 @@ int run_evolution(const CliOptions& cli,
   for (const PlannedRun& pr : planned) {
     chaos::EvolveCandidate cand;
     cand.protocol = pr.protocol;
-    cand.schedule = chaos::schedule_of(run_options_of(cli, pr));
+    cand.schedule = chaos::schedule_of(run_options_of(pr));
     seeds.push_back(std::move(cand));
   }
 
@@ -465,14 +479,17 @@ int run_evolution(const CliOptions& cli,
                  "# chaos corpus: elite population of %d-generation "
                  "evolution (%zu schedules)\n",
                  cli.evolve, stats.population.size());
+    // Every batch-wide flag shapes the evolved population, so the
+    // regenerate line carries all of them (the per-run serializer).
+    const std::string batch_flags =
+        flags_of(planned_seed_run(cli, cli.protocol, cli.seed));
     std::fprintf(cf,
                  "# regenerate: chaos_runner --protocol=%s --evolve=%d "
-                 "--population=%d --elite=%d --seed=%llu%s%s "
+                 "--population=%d --elite=%d --seed=%llu%s "
                  "--corpus-out=<this file>\n",
                  cli.protocol.c_str(), cli.evolve, cli.population, cli.elite,
                  static_cast<unsigned long long>(cli.seed),
-                 cli.restarts ? " --restarts" : "",
-                 cli.inject_quorum_bug ? " --inject-quorum-bug" : "");
+                 batch_flags.c_str());
     for (const chaos::EvolveCandidate& c : stats.population) {
       const PlannedRun run = planned_run_of(cli, c);
       char comment[32];
@@ -618,7 +635,7 @@ int main(int argc, char** argv) {
   int failures = 0;
   uint64_t runs = 0;
   for (const PlannedRun& pr : planned) {
-    const chaos::RunResult r = chaos::run_one(run_options_of(cli, pr));
+    const chaos::RunResult r = chaos::run_one(run_options_of(pr));
     ++runs;
     if (cli.verbose) {
       std::printf(
@@ -641,7 +658,7 @@ int main(int argc, char** argv) {
       // exact observation stream. Any divergence — unordered-container
       // iteration leaking into emission, a stray wall-clock read — shows up
       // as a coverage-counter or trace-fingerprint mismatch on the rerun.
-      const chaos::RunResult r2 = chaos::run_one(run_options_of(cli, pr));
+      const chaos::RunResult r2 = chaos::run_one(run_options_of(pr));
       ++runs;
       deterministic = r2.trace_fingerprint == r.trace_fingerprint &&
                       r2.ok == r.ok && r2.log_length == r.log_length &&
