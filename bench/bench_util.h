@@ -119,6 +119,17 @@ class JsonEmitter {
   bool has_seed_ = false;
 };
 
+/// A system as the figures label it, and the name that selects it
+/// (harness::ExperimentConfig::protocol).
+struct System {
+  const char* label;
+  const char* protocol;
+};
+inline constexpr System kRaft{"Raft", "raft"};
+inline constexpr System kRaftStar{"Raft*", "raftstar"};
+inline constexpr System kRaftStarPql{"Raft*-PQL", "raftstar-pql"};
+inline constexpr System kRaftStarLL{"Raft*-LL", "raftstar-ll"};
+
 inline void print_header(const std::string& title, const std::string& paper) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -11,13 +11,12 @@ namespace {
 constexpr uint64_t kSeedBase = 100001;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 namespace {
-double run_one(SystemKind sys, int clients, double conflict, int leader,
+double run_one(const char* protocol, int clients, double conflict, int leader,
                uint32_t vsize, bool bandwidth) {
   ExperimentConfig cfg;
-  cfg.system = sys;
+  cfg.protocol = protocol;
   cfg.workload = bench::fig10_workload(vsize, conflict);
   cfg.clients_per_region = clients;
   cfg.leader_replica = leader;
@@ -41,21 +40,21 @@ int main(int argc, char** argv) {
   std::printf("\n");
   struct Config {
     const char* name;
-    SystemKind sys;
+    const char* protocol;
     double conflict;
     int leader;
   };
   const Config configs[] = {
-      {"Raft*-M-100%", SystemKind::kRaftStarMencius, 1.0, 0},
-      {"Raft*-M-0%", SystemKind::kRaftStarMencius, 0.0, 0},
-      {"Raft-Oregon", SystemKind::kRaft, 0.0, 0},
-      {"Raft*-Oregon", SystemKind::kRaftStar, 0.0, 0},
-      {"Raft-Seoul", SystemKind::kRaft, 0.0, 4},
+      {"Raft*-M-100%", "mencius", 1.0, 0},
+      {"Raft*-M-0%", "mencius", 0.0, 0},
+      {"Raft-Oregon", "raft", 0.0, 0},
+      {"Raft*-Oregon", "raftstar", 0.0, 0},
+      {"Raft-Seoul", "raft", 0.0, 4},
   };
   for (const Config& c : configs) {
     std::printf("%-16s", c.name);
     for (int clients : {50, 200, 600, 1200, 2000}) {
-      const double tput = run_one(c.sys, clients, c.conflict, c.leader, 8,
+      const double tput = run_one(c.protocol, clients, c.conflict, c.leader, 8,
                                   false);
       char label[32];
       std::snprintf(label, sizeof(label), "clients=%d", clients);

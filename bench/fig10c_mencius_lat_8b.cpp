@@ -12,14 +12,13 @@ namespace {
 constexpr uint64_t kSeedBase = 100301;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 namespace {
-void run_one(bench::JsonEmitter& json, const char* name, SystemKind sys,
+void run_one(bench::JsonEmitter& json, const char* name, const char* protocol,
              double conflict, int leader, uint32_t vsize, bool bandwidth,
              uint64_t seed) {
   ExperimentConfig cfg;
-  cfg.system = sys;
+  cfg.protocol = protocol;
   cfg.workload = bench::fig10_workload(vsize, conflict);
   cfg.clients_per_region = 50;
   cfg.leader_replica = leader;
@@ -40,14 +39,11 @@ int main(int argc, char** argv) {
   json.set_seed(kSeedBase);
   bench::print_header("Fig 10c — Latency, 8 B requests (50 clients/region)",
                       "Wang et al., PODC'19, Figure 10(c)");
-  run_one(json, "Raft-Oregon", SystemKind::kRaft, 0.0, 0, 8, false, kSeedBase + 0);
-  run_one(json, "Raft*-Oregon", SystemKind::kRaftStar, 0.0, 0, 8, false,
-          kSeedBase + 1);
-  run_one(json, "Raft-Seoul", SystemKind::kRaft, 0.0, 4, 8, false, kSeedBase + 2);
-  run_one(json, "Raft*-M-0%", SystemKind::kRaftStarMencius, 0.0, 0, 8, false,
-          kSeedBase + 3);
-  run_one(json, "Raft*-M-100%", SystemKind::kRaftStarMencius, 1.0, 0, 8, false,
-          kSeedBase + 4);
+  run_one(json, "Raft-Oregon", "raft", 0.0, 0, 8, false, kSeedBase + 0);
+  run_one(json, "Raft*-Oregon", "raftstar", 0.0, 0, 8, false, kSeedBase + 1);
+  run_one(json, "Raft-Seoul", "raft", 0.0, 4, 8, false, kSeedBase + 2);
+  run_one(json, "Raft*-M-0%", "mencius", 0.0, 0, 8, false, kSeedBase + 3);
+  run_one(json, "Raft*-M-100%", "mencius", 1.0, 0, 8, false, kSeedBase + 4);
   std::printf("('Leader' = the Oregon site for the Mencius rows.)\n");
   return json.write() ? 0 : 1;
 }

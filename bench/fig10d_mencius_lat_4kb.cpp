@@ -8,13 +8,12 @@ namespace {
 constexpr uint64_t kSeedBase = 100401;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 namespace {
-void run_one(bench::JsonEmitter& json, const char* name, SystemKind sys,
+void run_one(bench::JsonEmitter& json, const char* name, const char* protocol,
              double conflict, int leader, uint64_t seed) {
   ExperimentConfig cfg;
-  cfg.system = sys;
+  cfg.protocol = protocol;
   cfg.workload = bench::fig10_workload(4096, conflict);
   cfg.clients_per_region = 50;
   cfg.leader_replica = leader;
@@ -35,11 +34,11 @@ int main(int argc, char** argv) {
   json.set_seed(kSeedBase);
   bench::print_header("Fig 10d — Latency, 4 KiB requests (50 clients/region)",
                       "Wang et al., PODC'19, Figure 10(d)");
-  run_one(json, "Raft-Oregon", SystemKind::kRaft, 0.0, 0, kSeedBase + 0);
-  run_one(json, "Raft*-Oregon", SystemKind::kRaftStar, 0.0, 0, kSeedBase + 1);
-  run_one(json, "Raft-Seoul", SystemKind::kRaft, 0.0, 4, kSeedBase + 2);
-  run_one(json, "Raft*-M-0%", SystemKind::kRaftStarMencius, 0.0, 0, kSeedBase + 3);
-  run_one(json, "Raft*-M-100%", SystemKind::kRaftStarMencius, 1.0, 0, kSeedBase + 4);
+  run_one(json, "Raft-Oregon", "raft", 0.0, 0, kSeedBase + 0);
+  run_one(json, "Raft*-Oregon", "raftstar", 0.0, 0, kSeedBase + 1);
+  run_one(json, "Raft-Seoul", "raft", 0.0, 4, kSeedBase + 2);
+  run_one(json, "Raft*-M-0%", "mencius", 0.0, 0, kSeedBase + 3);
+  run_one(json, "Raft*-M-100%", "mencius", 1.0, 0, kSeedBase + 4);
   std::printf("('Leader' = the Oregon site for the Mencius rows.)\n");
   return json.write() ? 0 : 1;
 }

@@ -11,18 +11,16 @@ namespace {
 constexpr uint64_t kSeed = 90001;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json("fig9a", argc, argv);
   json.set_seed(kSeed);
   bench::print_header("Fig 9a — Read latency (leader vs followers)",
                       "Wang et al., PODC'19, Figure 9(a)");
-  const SystemKind systems[] = {SystemKind::kRaftStarPql, SystemKind::kRaftStarLL,
-                                SystemKind::kRaft, SystemKind::kRaftStar};
-  for (SystemKind sys : systems) {
+  for (const bench::System& sys : {bench::kRaftStarPql, bench::kRaftStarLL,
+                                  bench::kRaft, bench::kRaftStar}) {
     ExperimentConfig cfg;
-    cfg.system = sys;
+    cfg.protocol = sys.protocol;
     cfg.workload = bench::fig9_workload();
     cfg.clients_per_region = 50;
     cfg.leader_replica = 0;  // Oregon
@@ -30,13 +28,10 @@ int main(int argc, char** argv) {
     cfg.warmup = sec(3);  // leases + steady state
     cfg.seed = kSeed;
     const auto res = harness::run_experiment(cfg);
-    bench::print_latency_row(harness::system_name(sys), "Leader",
-                             res.leader_reads);
-    bench::print_latency_row(harness::system_name(sys), "Followers",
-                             res.follower_reads);
-    json.add_latency(harness::system_name(sys), "Leader", res.leader_reads);
-    json.add_latency(harness::system_name(sys), "Followers",
-                     res.follower_reads);
+    bench::print_latency_row(sys.label, "Leader", res.leader_reads);
+    bench::print_latency_row(sys.label, "Followers", res.follower_reads);
+    json.add_latency(sys.label, "Leader", res.leader_reads);
+    json.add_latency(sys.label, "Followers", res.follower_reads);
   }
   return json.write() ? 0 : 1;
 }

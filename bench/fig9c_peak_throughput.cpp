@@ -10,24 +10,21 @@ namespace {
 constexpr uint64_t kSeed = 90003;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 int main(int argc, char** argv) {
   bench::JsonEmitter json("fig9c", argc, argv);
   json.set_seed(kSeed);
   bench::print_header("Fig 9c — Peak throughput vs read percentage",
                       "Wang et al., PODC'19, Figure 9(c)");
-  const SystemKind systems[] = {SystemKind::kRaft, SystemKind::kRaftStar,
-                                SystemKind::kRaftStarLL,
-                                SystemKind::kRaftStarPql};
   const double read_pcts[] = {0.50, 0.90, 0.99};
   std::printf("%-14s %8s %14s\n", "system", "read%", "tput (ops/s)");
   double raft_tput[3] = {0, 0, 0};
-  for (SystemKind sys : systems) {
+  for (const bench::System& sys : {bench::kRaft, bench::kRaftStar,
+                                  bench::kRaftStarLL, bench::kRaftStarPql}) {
     int col = 0;
     for (double rp : read_pcts) {
       ExperimentConfig cfg;
-      cfg.system = sys;
+      cfg.protocol = sys.protocol;
       cfg.workload = bench::fig9_workload();
       cfg.workload.read_fraction = rp;
       cfg.clients_per_region = 1200;  // enough to saturate the leader CPU
@@ -36,14 +33,16 @@ int main(int argc, char** argv) {
       cfg.warmup = sec(3);
       cfg.seed = kSeed;
       const auto res = harness::run_experiment(cfg);
-      if (sys == SystemKind::kRaft) raft_tput[col] = res.throughput_ops;
+      if (std::strcmp(sys.protocol, "raft") == 0) {
+        raft_tput[col] = res.throughput_ops;
+      }
       char label[32];
       std::snprintf(label, sizeof(label), "reads=%.0f%%", rp * 100);
-      json.add_throughput(harness::system_name(sys), label,
-                          res.throughput_ops);
-      std::printf("%-14s %7.0f%% %14.0f", harness::system_name(sys), rp * 100,
+      json.add_throughput(sys.label, label, res.throughput_ops);
+      std::printf("%-14s %7.0f%% %14.0f", sys.label, rp * 100,
                   res.throughput_ops);
-      if (sys == SystemKind::kRaftStarPql && raft_tput[col] > 0) {
+      if (std::strcmp(sys.protocol, "raftstar-pql") == 0 &&
+          raft_tput[col] > 0) {
         std::printf("   (%.2fx Raft)", res.throughput_ops / raft_tput[col]);
       }
       std::printf("\n");

@@ -10,12 +10,11 @@ namespace {
 constexpr uint64_t kSeed = 90004;
 }  // namespace
 using harness::ExperimentConfig;
-using harness::SystemKind;
 
 namespace {
-double run_one(harness::SystemKind sys, double conflict) {
+double run_one(const char* protocol, double conflict) {
   ExperimentConfig cfg;
-  cfg.system = sys;
+  cfg.protocol = protocol;
   cfg.workload = bench::fig9_workload();
   cfg.workload.conflict_rate = conflict;
   cfg.clients_per_region = 400;
@@ -35,8 +34,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %16s %16s %10s\n", "conflict", "Raft*-PQL", "Raft*",
               "speedup");
   for (double conflict : {0.50, 0.40, 0.30, 0.20, 0.10, 0.0}) {
-    const double pql = run_one(SystemKind::kRaftStarPql, conflict);
-    const double rs = run_one(SystemKind::kRaftStar, conflict);
+    const double pql = run_one("raftstar-pql", conflict);
+    const double rs = run_one("raftstar", conflict);
     char label[32];
     std::snprintf(label, sizeof(label), "conflict=%.0f%%", conflict * 100);
     json.add_throughput("Raft*-PQL", label, pql);

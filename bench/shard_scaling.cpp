@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "shard/experiment.h"
 
 using namespace praft;
 
@@ -25,17 +24,17 @@ constexpr uint64_t kSeed = 90030;
 constexpr int kMachines = 15;
 constexpr int kReplicasPerGroup = 5;
 
-shard::ShardExperimentConfig base_config(const char* protocol, int groups,
-                                         bool spread) {
-  shard::ShardExperimentConfig cfg;
+harness::ExperimentConfig base_config(const char* protocol, int groups,
+                                      bool spread) {
+  harness::ExperimentConfig cfg;
   cfg.protocol = protocol;
   cfg.num_groups = groups;
   cfg.num_machines = kMachines;
-  cfg.replicas_per_group = kReplicasPerGroup;
+  cfg.num_replicas = kReplicasPerGroup;
   cfg.spread_leaders = spread;
   cfg.flat_rtt = msec(1) / 2;  // LAN, same as the pipeline bench's 0.5 ms
   cfg.workload = bench::fig10_workload(/*value_size=*/8, /*conflict_rate=*/0.0);
-  cfg.clients_per_machine = 80;
+  cfg.clients_per_region = 80;
   cfg.run = sec(3);
   cfg.warmup = sec(1);
   cfg.cooldown = sec(1);
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
     for (int gi = 0; gi < 5; ++gi) {
       const auto cfg =
           base_config(protocols[pi], group_counts[gi], /*spread=*/true);
-      const auto res = shard::run_shard_experiment(cfg);
+      const auto res = harness::run_experiment(cfg);
       tput[pi][gi] = res.throughput_ops;
 
       char label[48];
@@ -85,7 +84,7 @@ int main(int argc, char** argv) {
   double colocated[2] = {};
   for (int pi = 0; pi < 2; ++pi) {
     const auto cfg = base_config(protocols[pi], 8, /*spread=*/false);
-    const auto res = shard::run_shard_experiment(cfg);
+    const auto res = harness::run_experiment(cfg);
     colocated[pi] = res.throughput_ops;
     json.add_throughput(protocols[pi], "groups=8-colocated",
                         res.throughput_ops);

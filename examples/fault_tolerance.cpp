@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "harness/cluster.h"
-#include "harness/log_server.h"
 
 using namespace praft;
 
@@ -13,11 +12,7 @@ int main() {
   harness::ClusterConfig cfg;
   cfg.seed = 99;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas([&](harness::NodeHost& host,
-                             const consensus::Group& group)
-                             -> std::unique_ptr<harness::ReplicaServer> {
-    return std::make_unique<harness::RaftStarServer>(host, group, cfg.costs);
-  });
+  cluster.build_replicas("raftstar");
   const int leader = cluster.establish_leader(0);
   std::printf("t=%.1fs initial leader: replica %d\n",
               static_cast<double>(cluster.sim().now()) / 1e6, leader);

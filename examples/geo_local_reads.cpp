@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "harness/cluster.h"
-#include "pql/raftstar_pql.h"
 
 using namespace praft;
 
@@ -13,11 +12,7 @@ int main() {
   harness::ClusterConfig cfg;
   cfg.seed = 7;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas([&](harness::NodeHost& host,
-                             const consensus::Group& group)
-                             -> std::unique_ptr<harness::ReplicaServer> {
-    return std::make_unique<pql::RaftStarPqlServer>(host, group, cfg.costs);
-  });
+  cluster.build_replicas("raftstar-pql");
   cluster.establish_leader(0);
   cluster.run_for(sec(2));  // leases propagate
 

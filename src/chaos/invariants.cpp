@@ -298,9 +298,8 @@ void InvariantChecker::sample_memory(harness::Cluster& cluster, int group) {
   if (memory_cap_ == 0) return;
   for (int i = 0; i < cluster.num_replicas(); ++i) {
     if (!cluster.replica_up(i, group)) continue;  // crashed, awaiting restart
-    auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i, group));
-    if (ls == nullptr) continue;
-    const size_t compactable = ls->node_iface().compactable_entries();
+    const size_t compactable =
+        cluster.server(i, group).node_iface().compactable_entries();
     if (compactable > memory_cap_) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),

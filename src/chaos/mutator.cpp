@@ -475,8 +475,24 @@ Schedule splice_schedules(const Schedule& a, const Schedule& b, Rng& rng,
 
 namespace {
 
-std::string candidate_key(const EvolveCandidate& c) {
-  return c.protocol + '\n' + serialize_schedule(c.schedule);
+/// The flags a candidate runs under: its own, or the batch-wide template.
+const RunOptions& flags_of(const EvolveCandidate& c, const RunOptions& base) {
+  return c.flags.has_value() ? *c.flags : base;
+}
+
+/// The per-run flags a corpus entry can override, as a dedup identity.
+std::string flags_key(const RunOptions& o) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%d %d %zu %d %d %d %d", o.num_replicas,
+                o.groups, o.compaction_log_cap, o.inject_quorum_bug ? 1 : 0,
+                o.crash_restarts ? 1 : 0, o.inject_persistence_bug ? 1 : 0,
+                o.wan ? 1 : 0);
+  return buf;
+}
+
+std::string candidate_key(const EvolveCandidate& c, const RunOptions& base) {
+  return c.protocol + ' ' + flags_key(flags_of(c, base)) + '\n' +
+         serialize_schedule(c.schedule);
 }
 
 /// Top-k selection stratified by protocol: round-robin over each protocol's
@@ -536,7 +552,7 @@ EvolveStats evolve(const EvolveOptions& opt,
   std::set<std::string> seen;
 
   const auto evaluate = [&](EvolveCandidate cand) {
-    RunOptions run = opt.base;
+    RunOptions run = flags_of(cand, opt.base);
     run.protocol = cand.protocol;
     run.schedule = cand.schedule;
     run.seed = cand.schedule.seed;
@@ -548,7 +564,7 @@ EvolveStats evolve(const EvolveOptions& opt,
       return;
     }
     cand.score = coverage_score(r);
-    if (seen.insert(candidate_key(cand)).second) {
+    if (seen.insert(candidate_key(cand, opt.base)).second) {
       archive.push_back(std::move(cand));
     }
   };
@@ -582,15 +598,25 @@ EvolveStats evolve(const EvolveOptions& opt,
       const EvolveCandidate& parent = archive[pi];
       EvolveCandidate child;
       child.protocol = parent.protocol;
+      child.flags = parent.flags;
+      const RunOptions& flags = flags_of(parent, opt.base);
+      const ScheduleLimits child_limits = effective_limits(flags);
+      // Splice only within one flag set: a mate with another replica count
+      // would hand the child fault targets outside its world.
+      const EvolveCandidate* mate = nullptr;
       if (elites.size() >= 2 && rng.chance(0.3)) {
         size_t qi = pick_index(rng, elites.size() - 1);
         if (elites[qi] == pi) ++qi;
-        child.schedule = splice_schedules(parent.schedule,
-                                          archive[elites[qi]].schedule, rng,
-                                          limits);
-      } else {
-        child.schedule = mutate_schedule(parent.schedule, rng, limits);
+        mate = &archive[elites[qi]];
+        if (flags_key(flags_of(*mate, opt.base)) != flags_key(flags)) {
+          mate = nullptr;
+        }
       }
+      child.schedule =
+          mate != nullptr
+              ? splice_schedules(parent.schedule, mate->schedule, rng,
+                                 child_limits)
+              : mutate_schedule(parent.schedule, rng, child_limits);
       // Rare cross-protocol hop: the paper's parallelism claim says a rare
       // interleaving found under one protocol stresses the others too.
       if (opt.protocols.size() >= 2 && rng.chance(0.15)) {

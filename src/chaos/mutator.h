@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,10 @@ struct EvolveCandidate {
   std::string protocol;
   Schedule schedule;
   uint64_t score = 0;  // coverage_score of its run (filled by evolve)
+  /// Flag/limit template this candidate runs under, when it differs from
+  /// EvolveOptions::base (a replayed corpus entry with its own flags);
+  /// protocol/seed/schedule fields are ignored. Offspring inherit it.
+  std::optional<RunOptions> flags;
 };
 
 struct EvolveOptions {
@@ -111,8 +116,9 @@ struct EvolveOptions {
   /// the paper's parallelism means a rare interleaving found under one
   /// protocol is worth trying on the others).
   std::vector<std::string> protocols{"raft"};
-  /// Flag/limit template every run executes under (protocol/seed/schedule
-  /// fields are overridden per candidate).
+  /// Flag/limit template every run executes under unless the candidate
+  /// carries its own (protocol/seed/schedule fields are overridden per
+  /// candidate).
   RunOptions base;
 };
 

@@ -377,13 +377,10 @@ RunResult run_one(const RunOptions& opt) {
   for (int g = 0; g < cluster.num_groups(); ++g) {
     for (int i = 0; i < cluster.num_replicas(); ++i) {
       if (!cluster.replica_up(i, g)) continue;
-      auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i, g));
-      if (ls != nullptr) {
-        res.revocations +=
-            static_cast<uint64_t>(ls->node_iface().revocations_started());
-        res.pipeline_rollbacks +=
-            static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
-      }
+      const consensus::NodeIface& node = cluster.server(i, g).node_iface();
+      res.revocations += static_cast<uint64_t>(node.revocations_started());
+      res.pipeline_rollbacks +=
+          static_cast<uint64_t>(node.pipeline_rollbacks());
     }
   }
   return res;

@@ -42,11 +42,6 @@ void register_builtin_protocols(ProtocolRegistry& reg) {
                                               options_from<paxos::Options>(t),
                                               store);
   });
-  // Registry-selected Mencius runs behind the generic LogServer, which
-  // replies at apply time only — the early-ack (commit + commutativity)
-  // optimization and revocation-aware reply tracking need the dedicated
-  // mencius::MenciusServer adapter (SystemKind::kRaftStarMencius). Safe and
-  // convergent either way; measurement-grade numbers come from the latter.
   reg.add("mencius", [](Group g, Env& env, const TimingOptions& t,
                         storage::DurableStore* store) {
     return std::make_unique<mencius::MenciusNode>(

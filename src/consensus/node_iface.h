@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "net/packet.h"
@@ -29,6 +31,21 @@ class NodeIface {
 
   /// Registers the in-order apply callback (exactly once per position).
   virtual void set_apply(ApplyFn fn) = 0;
+
+  /// Log entries `p` carries when it holds one of this protocol's messages
+  /// (the per-entry CPU cost the harness bills), std::nullopt for a foreign
+  /// packet.
+  [[nodiscard]] virtual std::optional<size_t> entry_count(
+      const net::Packet& p) const = 0;
+
+  /// Early acknowledgement (Mencius's commutative ack, paper §5.2): the node
+  /// calls `fn` for a command it proposed as soon as the client may be
+  /// answered, possibly before the command executes. Returns false for a
+  /// node without early ack; its adapter then replies after apply.
+  virtual bool set_early_ack(AckFn fn) {
+    (void)fn;
+    return false;
+  }
 
   /// Registers a watermark observer on the node's Applier: called with the
   /// (commit, applied) watermarks after every advance. Used by invariant

@@ -124,6 +124,14 @@ class RaftFamilyNode : public NodeIface {
         *msg);
   }
 
+  [[nodiscard]] std::optional<size_t> entry_count(
+      const net::Packet& p) const override {
+    const auto* msg = net::payload_as<Message>(p);
+    if (msg == nullptr) return std::nullopt;
+    const auto* ae = std::get_if<AppendEntries>(msg);
+    return ae == nullptr ? 0 : ae->entries.size();
+  }
+
   /// Leader-only: appends `cmd` to the log and schedules replication.
   /// Returns the assigned index, or -1 when this node is not the leader.
   LogIndex submit(const kv::Command& cmd) override {

@@ -63,6 +63,11 @@ using HardStateProbe = std::function<void(const HardState&)>;
 /// is committed/chosen and all earlier positions have been delivered.
 using ApplyFn = std::function<void(LogIndex, const kv::Command&)>;
 
+/// Fired at most once per command a node proposed, the moment its client may
+/// be answered — possibly before the command executes (see
+/// NodeIface::set_early_ack).
+using AckFn = std::function<void(const kv::Command&)>;
+
 /// Observes the Applier's (commit, applied) watermarks after every advance.
 /// Installed by invariant checkers (src/chaos) to assert monotonicity from
 /// outside the protocol.

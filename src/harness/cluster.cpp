@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "harness/log_server.h"
+#include "pql/raftstar_pql.h"
 
 namespace praft::harness {
 
@@ -93,13 +93,18 @@ void Cluster::build_replicas(const ServerFactory& factory) {
   }
 }
 
-std::unique_ptr<ReplicaServer> Cluster::make_named_server(int i, int g) {
+std::unique_ptr<LogServer> Cluster::make_named_server(int i, int g) {
   Group& grp = group(g);
   consensus::Group members = grp.members;
   members.self = replica_id(i, g);
-  return std::make_unique<LogServer>(*grp.hosts[at(i)], std::move(members),
-                                     cfg_.costs, grp.protocol, timing_,
-                                     grp.stores[at(i)].get());
+  NodeHost& host = *grp.hosts[at(i)];
+  storage::DurableStore* store = grp.stores[at(i)].get();
+  if (auto lease = pql::make_lease_server(grp.protocol, host, members,
+                                          cfg_.costs, timing_, store)) {
+    return lease;
+  }
+  return std::make_unique<LogServer>(host, std::move(members), cfg_.costs,
+                                     grp.protocol, timing_, store);
 }
 
 void Cluster::build_replicas(const std::vector<std::string>& protocols,
@@ -125,11 +130,9 @@ void Cluster::crash_replica(int i, int g) {
                   "crash/restart requires name-built replicas (durable store)");
   auto& server = group(g).servers[at(i)];
   if (server == nullptr) return;  // already down
-  if (auto* ls = dynamic_cast<LogServer*>(server.get())) {
-    // The incarnation's coverage counters die with it; bank them first.
-    retired_revocations_ += ls->node_iface().revocations_started();
-    retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
-  }
+  // The incarnation's coverage counters die with it; bank them first.
+  retired_revocations_ += server->node_iface().revocations_started();
+  retired_pipeline_rollbacks_ += server->node_iface().pipeline_rollbacks();
   NodeHost& host = *group(g).hosts[at(i)];
   // Order matters: first make every pending timer/fsync callback a no-op and
   // unbind in-flight deliveries, THEN free the node they capture.
@@ -142,20 +145,19 @@ void Cluster::crash_replica(int i, int g) {
 
 void Cluster::install_probes_on(int i, int g) {
   const Group& grp = group(g);
-  auto* ls = dynamic_cast<LogServer*>(grp.servers[at(i)].get());
-  if (ls == nullptr) return;
-  if (grp.apply_probe) ls->set_apply_probe(grp.apply_probe);
-  if (grp.snapshot_probe) ls->set_snapshot_probe(grp.snapshot_probe);
-  const NodeId id = ls->id();
+  LogServer& ls = *grp.servers[at(i)];
+  if (grp.apply_probe) ls.set_apply_probe(grp.apply_probe);
+  if (grp.snapshot_probe) ls.set_snapshot_probe(grp.snapshot_probe);
+  const NodeId id = ls.id();
   if (grp.watermark_probe) {
-    ls->node_iface().set_watermark_probe(
+    ls.node_iface().set_watermark_probe(
         [probe = grp.watermark_probe, id](consensus::LogIndex commit,
                                           consensus::LogIndex applied) {
           probe(id, commit, applied);
         });
   }
   if (grp.hard_state_probe) {
-    ls->node_iface().set_hard_state_probe(
+    ls.node_iface().set_hard_state_probe(
         [probe = grp.hard_state_probe, id](const consensus::HardState& hs) {
           probe(id, hs);
         });
@@ -171,10 +173,9 @@ void Cluster::restart_replica(int i, int g) {
   grp.servers[at(i)]->start();
   ++restarts_;
   if (grp.restart_probe) {
-    auto* ls = dynamic_cast<LogServer*>(grp.servers[at(i)].get());
-    PRAFT_CHECK(ls != nullptr);
-    grp.restart_probe(ls->id(), ls->node_iface().hard_state(),
-                      ls->recovery(), ls->node_iface().applied_index());
+    const LogServer& ls = *grp.servers[at(i)];
+    grp.restart_probe(ls.id(), ls.node_iface().hard_state(), ls.recovery(),
+                      ls.node_iface().applied_index());
   }
 }
 
@@ -233,10 +234,7 @@ void Cluster::add_clients(int per_region, const kv::WorkloadConfig& wl,
 int Cluster::reinstall_probes(int g) {
   int hooked = 0;
   for (int j = 0; j < num_replicas(); ++j) {
-    if (!replica_up(j, g) ||
-        dynamic_cast<LogServer*>(group(g).servers[at(j)].get()) == nullptr) {
-      continue;
-    }
+    if (!replica_up(j, g)) continue;
     install_probes_on(j, g);
     ++hooked;
   }

@@ -11,7 +11,7 @@
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/metrics.h"
-#include "harness/server.h"
+#include "harness/log_server.h"
 #include "kv/workload.h"
 #include "shard/router.h"
 #include "shard/shard_map.h"
@@ -58,18 +58,19 @@ class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg);
 
-  using ServerFactory = std::function<std::unique_ptr<ReplicaServer>(
+  using ServerFactory = std::function<std::unique_ptr<LogServer>(
       NodeHost& host, const consensus::Group& group)>;
 
   /// Creates every group's replica nodes and starts their servers. Call
   /// exactly once, before anything else.
   void build_replicas(const ServerFactory& factory);
 
-  /// Same, selecting the consensus protocol by registry name at runtime
+  /// Same, selecting the system by name at runtime: a registry protocol
   /// ("raft", "raftstar", "multipaxos", "mencius", or anything registered
-  /// later) behind the generic LogServer adapter. Name-built replicas get a
-  /// storage::DurableStore (owned by the cluster, so it survives node
-  /// destruction) and support crash/restart.
+  /// later) behind the LogServer adapter, or one of the lease systems over
+  /// Raft* ("raftstar-pql", "raftstar-ll"; see pql::make_lease_server).
+  /// Name-built replicas get a storage::DurableStore (owned by the cluster,
+  /// so it survives node destruction) and support crash/restart.
   void build_replicas(const std::string& protocol,
                       const consensus::TimingOptions& timing = {}) {
     build_replicas(std::vector<std::string>{protocol}, timing);
@@ -95,7 +96,7 @@ class Cluster {
   }
 
   // -- Replicas -------------------------------------------------------------
-  ReplicaServer& server(int i, int g = 0) { return *group(g).servers[at(i)]; }
+  LogServer& server(int i, int g = 0) { return *group(g).servers[at(i)]; }
   /// False while a replica is crashed (between crash and restart).
   [[nodiscard]] bool replica_up(int i, int g = 0) const {
     return group(g).servers[at(i)] != nullptr;
@@ -174,8 +175,7 @@ class Cluster {
 
   // -- Trace hooks (chaos/invariant checking), per group -------------------
   /// Observes every (replica, index, command) apply in group `g`. Returns
-  /// the number of servers hooked (only LogServer-based replicas expose the
-  /// probe). Call after build_replicas.
+  /// the number of live replicas hooked. Call after build_replicas.
   using ApplyProbe =
       std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
   int install_apply_probe(ApplyProbe probe, int g = 0);
@@ -225,10 +225,10 @@ class Cluster {
  private:
   struct Group {
     std::vector<std::unique_ptr<NodeHost>> hosts;
-    std::vector<std::unique_ptr<ReplicaServer>> servers;
+    std::vector<std::unique_ptr<LogServer>> servers;
     std::vector<std::unique_ptr<storage::DurableStore>> stores;
     consensus::Group members;  // self = kNoNode; members = node ids
-    std::string protocol;      // registry name; empty when factory-built
+    std::string protocol;      // system name; empty when factory-built
     // Probes, re-applied to every restarted incarnation.
     ApplyProbe apply_probe;
     WatermarkProbe watermark_probe;
@@ -241,7 +241,7 @@ class Cluster {
   Group& group(int g) { return groups_[at(g)]; }
   [[nodiscard]] const Group& group(int g) const { return groups_[at(g)]; }
   void build_hosts();
-  std::unique_ptr<ReplicaServer> make_named_server(int i, int g);
+  std::unique_ptr<LogServer> make_named_server(int i, int g);
   /// Applies group `g`'s stored probes to one replica (idempotent
   /// overwrites) — the ONE wrapper implementation, shared by
   /// install_*_probe on live replicas and restart_replica on rebuilt ones.

@@ -1,25 +1,9 @@
 #include "harness/experiment.h"
 
 #include "common/check.h"
-#include "harness/log_server.h"
-#include "mencius/server.h"
-#include "pql/leader_lease.h"
-#include "pql/raftstar_pql.h"
 #include "sim/resources.h"
 
 namespace praft::harness {
-
-const char* system_name(SystemKind k) {
-  switch (k) {
-    case SystemKind::kRaft: return "Raft";
-    case SystemKind::kRaftStar: return "Raft*";
-    case SystemKind::kPaxos: return "MultiPaxos";
-    case SystemKind::kRaftStarPql: return "Raft*-PQL";
-    case SystemKind::kRaftStarLL: return "Raft*-LL";
-    case SystemKind::kRaftStarMencius: return "Raft*-Mencius";
-  }
-  return "?";
-}
 
 LatencySummary summarize(const Histogram& h) {
   LatencySummary s;
@@ -30,64 +14,19 @@ LatencySummary summarize(const Histogram& h) {
   return s;
 }
 
-namespace {
-
-// Protocol Options default-construct to the paper's WAN-scale timing
-// (consensus::TimingOptions), so factories pass no explicit options.
-Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
-                                           const CostModel& costs) {
-  if (!cfg.protocol.empty()) {
-    // Runtime selection through the protocol registry; TimingOptions
-    // defaults are the paper's WAN-scale values.
-    const std::string protocol = cfg.protocol;
-    const consensus::TimingOptions timing = cfg.timing;
-    return [costs, protocol, timing](NodeHost& h, const consensus::Group& g) {
-      return std::make_unique<LogServer>(h, g, costs, protocol, timing);
-    };
-  }
-  switch (cfg.system) {
-    case SystemKind::kRaft:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<RaftServer>(h, g, costs);
-      };
-    case SystemKind::kRaftStar:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<RaftStarServer>(h, g, costs);
-      };
-    case SystemKind::kPaxos:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<PaxosServer>(h, g, costs);
-      };
-    case SystemKind::kRaftStarPql:
-      return [costs, cfg](NodeHost& h, const consensus::Group& g) {
-        pql::PqlOptions popt;  // PQL paper leases: 2 s / 0.5 s renew (§5.1)
-        popt.include_leader_grants = cfg.pql_include_leader_grants;
-        return std::make_unique<pql::RaftStarPqlServer>(
-            h, g, costs, raftstar::Options{}, popt);
-      };
-    case SystemKind::kRaftStarLL:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<pql::LeaderLeaseServer>(h, g, costs);
-      };
-    case SystemKind::kRaftStarMencius:
-      return [costs, cfg](NodeHost& h, const consensus::Group& g) {
-        mencius::Options mopt;
-        mopt.decide_own_skips = cfg.mencius_full_port;
-        return std::make_unique<mencius::MenciusServer>(h, g, costs, mopt);
-      };
-  }
-  PRAFT_CHECK_MSG(false, "unknown system");
-  return {};
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   ClusterConfig cc;
+  cc.num_replicas = cfg.num_replicas;
+  cc.num_groups = cfg.num_groups;
+  cc.num_machines = cfg.num_machines;
+  cc.spread_leaders = cfg.spread_leaders;
   cc.seed = cfg.seed;
-  cc.costs.enabled = cfg.model_cpu;
   if (cfg.flat_rtt >= 0) {
-    cc.latency = sim::LatencyMatrix(5, cfg.flat_rtt);
+    // One latency site per machine: uniform RTT everywhere, and per-site
+    // metrics stay per-machine.
+    const int machines =
+        cfg.num_machines > 0 ? cfg.num_machines : cfg.num_replicas;
+    cc.latency = sim::LatencyMatrix(machines, cfg.flat_rtt);
   }
   if (cfg.model_bandwidth) {
     // Per-site NIC egress (DESIGN.md §6): Oregon has the paper's 750 Mbps;
@@ -98,10 +37,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
   Cluster cluster(cc);
-  cluster.build_replicas(make_server_factory(cfg, cc.costs));
+  cluster.build_replicas(cfg.protocol, cfg.timing);
 
   if (!cluster.server(0).leaderless()) {
     const int leader = cluster.establish_leader(cfg.leader_replica);
+    PRAFT_CHECK_MSG(cluster.groups_led() == cfg.num_groups,
+                    "not every group elected a leader");
     PRAFT_CHECK_MSG(leader == cfg.leader_replica,
                     "could not establish the requested leader");
   } else {
@@ -118,9 +59,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.throughput_ops = cluster.metrics().throughput_ops();
   res.client_retries = cluster.client_retries();
   const SiteId leader_site =
-      cluster.config().replica_sites[static_cast<size_t>(cfg.leader_replica)];
+      cluster.config().replica_sites[static_cast<size_t>(
+          cluster.member_machine(0, cfg.leader_replica))];
+  std::vector<SiteId> all_sites;
   std::vector<SiteId> follower_sites;
   for (SiteId s = 0; s < cluster.config().latency.num_sites(); ++s) {
+    all_sites.push_back(s);
     if (s != leader_site) follower_sites.push_back(s);
   }
   res.leader_reads = summarize(cluster.metrics().reads(leader_site));
@@ -128,6 +72,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.follower_reads = summarize(cluster.metrics().merged_reads(follower_sites));
   res.follower_writes =
       summarize(cluster.metrics().merged_writes(follower_sites));
+  res.reads = summarize(cluster.metrics().merged_reads(all_sites));
+  res.writes = summarize(cluster.metrics().merged_writes(all_sites));
   return res;
 }
 

@@ -7,46 +7,35 @@
 
 namespace praft::harness {
 
-/// Which replicated system a run measures (the legends of Figs. 9 and 10).
-enum class SystemKind {
-  kRaft,
-  kRaftStar,
-  kPaxos,
-  kRaftStarPql,
-  kRaftStarLL,
-  kRaftStarMencius,
-};
-
-const char* system_name(SystemKind k);
-
-/// One experiment point: a system, a workload, a client count, a duration.
+/// One experiment point: a system, a deployment, a workload, a client
+/// count, a duration. The defaults are the paper's §5 testbed (one group of
+/// five replicas, one per region); more groups and machines make it the
+/// sharded scale-out world of harness::ClusterConfig.
 struct ExperimentConfig {
-  SystemKind system = SystemKind::kRaft;
-  /// When non-empty, overrides `system`: the replicas run this consensus
-  /// registry protocol ("raft", "raftstar", "multipaxos", "mencius", ...)
-  /// behind the generic LogServer adapter, selected at runtime.
-  std::string protocol;
+  /// The system under test, by name: a registry protocol ("raft",
+  /// "raftstar", "multipaxos", "mencius") or a lease system over Raft*
+  /// ("raftstar-pql", "raftstar-ll"); see Cluster::build_replicas.
+  std::string protocol = "raft";
   /// Protocol timing knobs (election/heartbeat cadence, batching, pipeline
-  /// window). Only honoured on the registry path (`protocol` non-empty).
+  /// window).
   consensus::TimingOptions timing;
   /// When >= 0, replaces the aws5 geo matrix with a uniform all-pairs RTT
-  /// (sim::LatencyMatrix flat constructor) — the pipelining bench sweeps
-  /// this from LAN to intercontinental.
+  /// over one site per machine (sim::LatencyMatrix flat constructor) — the
+  /// pipelining bench sweeps this from LAN to intercontinental.
   Duration flat_rtt = -1;
   kv::WorkloadConfig workload;
-  int clients_per_region = 50;
-  int leader_replica = 0;  // leader site (ignored by Mencius)
+  int clients_per_region = 50;  // closed-loop clients next to every machine
+  int leader_replica = 0;  // member that leads every group (ignored by Mencius)
   Duration run = sec(10);
   Duration warmup = sec(2);
   Duration cooldown = sec(1);
   uint64_t seed = 1;
-  bool model_cpu = true;
   bool model_bandwidth = false;  // Fig. 10b/d turn this on
-  /// Ablation A1: drop the leader's own grants from PQL's holder set.
-  bool pql_include_leader_grants = true;
-  /// Ablation A2: Mencius hand-port that misses the AppendEntries/propose
-  /// side of the Phase2b delta (owners do not self-mark skips early).
-  bool mencius_full_port = true;
+  // Deployment (see harness::ClusterConfig).
+  int num_replicas = 5;  // members per group
+  int num_groups = 1;
+  int num_machines = 0;  // 0: one machine per replica
+  bool spread_leaders = true;
 };
 
 /// Latency summary for one site class, microseconds.
@@ -60,15 +49,17 @@ struct LatencySummary {
 LatencySummary summarize(const Histogram& h);
 
 struct ExperimentResult {
-  double throughput_ops = 0;
-  LatencySummary leader_reads, leader_writes;
-  LatencySummary follower_reads, follower_writes;
+  double throughput_ops = 0;  // aggregate across all groups
+  LatencySummary leader_reads, leader_writes;      // leader's site
+  LatencySummary follower_reads, follower_writes;  // every other site
+  LatencySummary reads, writes;                    // every site
   int leader_replica = -1;
   uint64_t client_retries = 0;
 };
 
-/// Builds the §5 testbed (5 regions, one replica + clients per region),
-/// runs it, and returns the measured figures.
+/// Builds the deployment, establishes every group's leader (member
+/// `leader_replica`), runs the closed-loop workload over a trimmed window,
+/// and returns the measured figures.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 }  // namespace praft::harness

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,21 +8,39 @@
 #include "common/check.h"
 #include "consensus/node_iface.h"
 #include "consensus/registry.h"
-#include "harness/protocols.h"
-#include "harness/server.h"
+#include "harness/cost_model.h"
+#include "harness/host.h"
+#include "harness/messages.h"
+#include "kv/store.h"
 
 namespace praft::harness {
 
-/// Replica adapter for log-replicating protocols: client requests (reads AND
-/// writes — the paper's baselines persist reads in the log, §4.4 "Paxos
-/// Quorum Lease") are submitted at the leader; follower replicas forward to
-/// the leader etcd-style and relay the reply.
+/// Pending client-op bookkeeping: maps a log index to where the reply must
+/// go once the entry executes.
+struct PendingOp {
+  NodeId client = kNoNode;   // reply directly to this client...
+  NodeId origin = kNoNode;   // ...or relay via this forwarding server
+  uint64_t seq = 0;
+  kv::Command cmd;           // for identity verification after leader changes
+};
+
+// Ordered: snapshot installation walks this map to drop covered replies, and
+// the walk order must be seed-stable (lint rule D1). Keys are log indexes,
+// so ordered erasure of the covered prefix is also the natural shape.
+using PendingMap = std::map<int64_t, PendingOp>;
+
+/// The one replica adapter: it owns the KV state machine and the
+/// client-facing plumbing, and drives a runtime-polymorphic protocol node
+/// (consensus::NodeIface). Client requests (reads AND writes — the paper's
+/// baselines persist reads in the log, §4.4 "Paxos Quorum Lease") are
+/// submitted where they arrive when that replica may propose; otherwise they
+/// are forwarded to the leader etcd-style and the reply is relayed.
 ///
-/// The protocol node behind the adapter is runtime-polymorphic
-/// (consensus::NodeIface): construct with a registry name to pick the
-/// protocol at runtime, or hand in a concretely-built node (see
-/// TypedLogServer below) when the adapter needs protocol-specific hooks.
-class LogServer : public ReplicaServer {
+/// The reply leaves after apply, or earlier when the node acknowledges its
+/// own proposals itself (NodeIface::set_early_ack: Mencius's commutative
+/// ack). Such a node answers every command it proposed, so the adapter
+/// keeps no pending entry for it.
+class LogServer : public PacketHandler {
  public:
   /// Selects the protocol by registry name ("raft", "raftstar",
   /// "multipaxos", "mencius", or anything registered later). `store`
@@ -35,18 +54,20 @@ class LogServer : public ReplicaServer {
       : LogServer(host, costs,
                   consensus::make_node(protocol, std::move(group), host,
                                        timing, store),
-                  protocol_cost(protocol), store) {}
+                  store) {}
 
   /// Wraps an already-constructed node (typed adapters, tests).
   LogServer(NodeHost& host, CostModel costs,
-            std::unique_ptr<consensus::NodeIface> node, ProtocolCost cost,
+            std::unique_ptr<consensus::NodeIface> node,
             storage::DurableStore* store = nullptr)
-      : ReplicaServer(host, costs), node_(std::move(node)),
-        cost_(std::move(cost)) {
+      : host_(host), costs_(costs), node_(std::move(node)) {
     PRAFT_CHECK_MSG(node_ != nullptr, "LogServer needs a protocol node");
+    host_.attach(this);
     node_->set_apply([this](consensus::LogIndex i, const kv::Command& c) {
       on_apply(i, c);
     });
+    early_ack_ = node_->set_early_ack(
+        [this](const kv::Command& c) { on_early_ack(c); });
     // Snapshot plumbing: the adapter owns the state machine, so it supplies
     // the capture/restore halves of the ported Checkpoint action. Without
     // these hooks the node can neither compact nor install snapshots.
@@ -76,18 +97,23 @@ class LogServer : public ReplicaServer {
     }
   }
 
-  void start() override { node_->start(); }
-  [[nodiscard]] bool is_leader() const override { return node_->is_leader(); }
-  [[nodiscard]] NodeId leader_hint() const override {
-    return node_->leader_hint();
-  }
-  [[nodiscard]] bool leaderless() const override {
-    return node_->leaderless();
-  }
-  void trigger_election() override { node_->force_election(); }
-  [[nodiscard]] consensus::LogIndex commit_index() const override {
+  virtual void start() { node_->start(); }
+  [[nodiscard]] bool is_leader() const { return node_->is_leader(); }
+  /// True when the protocol has no single elected leader (see
+  /// consensus::NodeIface::leaderless).
+  [[nodiscard]] bool leaderless() const { return node_->leaderless(); }
+  /// Kicks off an immediate election attempt (used to pin the leader site).
+  void trigger_election() { node_->force_election(); }
+  /// Highest position this replica knows committed (exposed for
+  /// chaos/invariant tracing).
+  [[nodiscard]] consensus::LogIndex commit_index() const {
     return node_->commit_index();
   }
+
+  [[nodiscard]] NodeId id() const { return host_.id(); }
+  [[nodiscard]] SiteId site() const { return host_.site(); }
+  [[nodiscard]] const kv::KvStore& store() const { return store_; }
+  [[nodiscard]] NodeHost& host() { return host_; }
 
   consensus::NodeIface& node_iface() { return *node_; }
   [[nodiscard]] const consensus::NodeIface& node_iface() const {
@@ -120,11 +146,9 @@ class LogServer : public ReplicaServer {
       return;
     }
     if (handle_other(p)) return;
-    // With a protocol classifier, silently drop foreign packet families
-    // (a lease message reaching a plain replica, etc.) instead of letting
-    // the node CHECK-fail on them. Without one (a registry protocol with no
-    // cost traits), hand everything through.
-    if (cost_ && !cost_(p)) return;
+    // Silently drop foreign packet families (a lease message reaching a
+    // plain replica, etc.) instead of letting the node CHECK-fail on them.
+    if (!node_->entry_count(p)) return;
     node_->on_packet(p);
   }
 
@@ -144,12 +168,10 @@ class LogServer : public ReplicaServer {
       }
       return costs_.receive_cost(p.bytes);
     }
-    if (cost_) {
-      if (const auto entries = cost_(p)) {
-        return costs_.message_base +
-               static_cast<Duration>(*entries) * costs_.entry_follower +
-               costs_.size_cost(p.bytes);
-      }
+    if (const auto entries = node_->entry_count(p)) {
+      return costs_.message_base +
+             static_cast<Duration>(*entries) * costs_.entry_follower +
+             costs_.size_cost(p.bytes);
     }
     return costs_.receive_cost(p.bytes);
   }
@@ -173,6 +195,11 @@ class LogServer : public ReplicaServer {
     return false;
   }
 
+  void reply_to_client(NodeId client, uint64_t seq, uint64_t value, bool ok) {
+    ClientReply r{seq, value, ok, id()};
+    host_.send(client, Message{r}, wire_size(r));
+  }
+
   void on_harness_message(const Message& hm) {
     if (const auto* req = std::get_if<ClientRequest>(&hm)) {
       submit_or_forward(req->cmd, /*origin=*/kNoNode);
@@ -192,7 +219,9 @@ class LogServer : public ReplicaServer {
     if (node_->is_leader()) {
       const consensus::LogIndex idx = node_->submit(cmd);
       if (idx >= 0) {
-        pending_[idx] = PendingOp{cmd.client, origin, cmd.seq, cmd};
+        if (!early_ack_) {
+          pending_[idx] = PendingOp{cmd.client, origin, cmd.seq, cmd};
+        }
         return;
       }
     }
@@ -210,6 +239,17 @@ class LogServer : public ReplicaServer {
     }
     // Forwarded requests that miss the leader are dropped; the origin
     // server's client retries end-to-end.
+  }
+
+  /// An early-acking node answers only its own proposals, and every replica
+  /// of such a protocol proposes what its clients send it, so the reply goes
+  /// straight to the command's client. An early-acked read is safe because
+  /// no conflicting write is pending (the node's commute check), so the
+  /// local copy is current.
+  void on_early_ack(const kv::Command& cmd) {
+    if (cmd.client == kNoNode) return;
+    const uint64_t value = cmd.is_read() ? store_.read_local(cmd.key) : 0;
+    reply_to_client(cmd.client, cmd.seq, value, true);
   }
 
   void on_apply(consensus::LogIndex idx, const kv::Command& cmd) {
@@ -238,37 +278,37 @@ class LogServer : public ReplicaServer {
     (void)cmd;
   }
 
+  NodeHost& host_;
+  CostModel costs_;
+  kv::KvStore store_;
   std::unique_ptr<consensus::NodeIface> node_;
-  ProtocolCost cost_;
+  bool early_ack_ = false;
   PendingMap pending_;
   ApplyProbe apply_probe_;
   SnapshotProbe snapshot_probe_;
   storage::RecoveryStats recovery_;
 };
 
+/// Older name of the adapter, kept for callers that still use it.
+using ReplicaServer = LogServer;
+
 /// Typed wrapper for adapters (and tests) that need the concrete node type —
 /// PQL installs Raft*-specific observers, Mencius tests read skip counters.
 /// Everything else about the server is the runtime LogServer.
-template <typename P>
+template <typename Node>
 class TypedLogServer : public LogServer {
  public:
   TypedLogServer(NodeHost& host, consensus::Group group, CostModel costs,
-                 typename P::Options opt = {})
+                 typename Node::Options opt = {},
+                 storage::DurableStore* store = nullptr)
       : LogServer(host, costs,
-                  std::make_unique<typename P::Node>(std::move(group), host,
-                                                     opt),
-                  protocol_cost<P>()) {}
+                  std::make_unique<Node>(std::move(group), host, opt, store),
+                  store) {}
 
-  typename P::Node& node() {
-    return static_cast<typename P::Node&>(*node_);
-  }
-  [[nodiscard]] const typename P::Node& node() const {
-    return static_cast<const typename P::Node&>(*node_);
+  Node& node() { return static_cast<Node&>(*node_); }
+  [[nodiscard]] const Node& node() const {
+    return static_cast<const Node&>(*node_);
   }
 };
-
-using RaftServer = TypedLogServer<RaftProtocol>;
-using RaftStarServer = TypedLogServer<RaftStarProtocol>;
-using PaxosServer = TypedLogServer<PaxosProtocol>;
 
 }  // namespace praft::harness

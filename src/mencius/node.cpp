@@ -381,10 +381,17 @@ void MenciusNode::send_snapshot(NodeId to) {
   persister_.send(to, Message{sx}, wire_size(sx));
 }
 
+bool MenciusNode::holds_unexecuted_value() const {
+  for (const auto& [i, s] : slots_) {
+    if (s.st != St::kEmpty) return true;
+  }
+  return false;
+}
+
 bool MenciusNode::revocation_done() const {
-  const int orank = group_.rank_of(rev_.owner);
-  LogIndex i = rev_.lo + (((orank - rev_.lo) % n_) + n_) % n_;
-  for (; i < rev_.hi; i += n_) {
+  const LogIndex step = revoke_stride(rev_.owner);
+  for (LogIndex i = first_revoked(rev_.owner, rev_.lo); i < rev_.hi;
+       i += step) {
     if (i < afloor()) continue;
     const Slot* s = slot_if(i);
     if (s == nullptr || s->st != St::kDecided) return false;
@@ -701,11 +708,16 @@ void MenciusNode::on_learn_vals(const LearnVals& m) {
 // ---------------------------------------------------------------------------
 
 void MenciusNode::start_revocation(NodeId owner, LogIndex lo, LogIndex hi) {
-  if (rev_.active || hi <= lo) return;
+  if (hi <= lo) return;
+  if (rev_.active && env_.now() - rev_.started <= revoke_after()) return;
   ++revocations_;
   rev_ = Revocation{};
   rev_.active = true;
-  rev_.bal = Ballot{++rev_round_, group_.self};
+  rev_.started = env_.now();
+  // Above every promise seen, so a retry cannot lose to the revocation it
+  // supersedes.
+  rev_round_ = std::max(rev_round_, max_promised_round_) + 1;
+  rev_.bal = Ballot{rev_round_, group_.self};
   rev_.owner = owner;
   rev_.lo = lo;
   rev_.hi = hi;
@@ -713,9 +725,8 @@ void MenciusNode::start_revocation(NodeId owner, LogIndex lo, LogIndex hi) {
   PRAFT_LOG(kInfo) << "mencius " << group_.self << " revokes slots of "
                    << owner << " in [" << lo << "," << hi << ")";
   // Self-promise, seeding with our own accepted values.
-  const int orank = group_.rank_of(owner);
-  LogIndex i = lo + (((orank - lo) % n_) + n_) % n_;
-  for (; i < hi; i += n_) {
+  const LogIndex step = revoke_stride(owner);
+  for (LogIndex i = first_revoked(owner, lo); i < hi; i += step) {
     if (i < afloor()) continue;
     Slot& s = slot(i);
     if (rev_.bal > s.promised) {
@@ -735,9 +746,8 @@ void MenciusNode::on_rev_prepare(const RevPrepare& m) {
   RevPrepareOk ok;
   ok.from = group_.self;
   ok.bal = m.bal;
-  const int orank = group_.rank_of(m.owner);
-  LogIndex i = m.lo + (((orank - m.lo) % n_) + n_) % n_;
-  for (; i < m.hi; i += n_) {
+  const LogIndex step = revoke_stride(m.owner);
+  for (LogIndex i = first_revoked(m.owner, m.lo); i < m.hi; i += step) {
     if (i < afloor()) {
       // Already executed: report the decided value at the top ballot so the
       // revoker cannot choose anything else. If the decision aged out of
@@ -789,9 +799,9 @@ void MenciusNode::on_rev_prepare_ok(const RevPrepareOk& m) {
   ra.from = group_.self;
   ra.bal = rev_.bal;
   std::vector<LogIndex> self_accepted;
-  const int orank = group_.rank_of(rev_.owner);
-  LogIndex i = rev_.lo + (((orank - rev_.lo) % n_) + n_) % n_;
-  for (; i < rev_.hi; i += n_) {
+  const LogIndex step = revoke_stride(rev_.owner);
+  for (LogIndex i = first_revoked(rev_.owner, rev_.lo); i < rev_.hi;
+       i += step) {
     auto it = rev_.best.find(i);
     const kv::Command cmd =
         (it != rev_.best.end() && it->second.has && !it->second.skipped)
@@ -799,22 +809,12 @@ void MenciusNode::on_rev_prepare_ok(const RevPrepareOk& m) {
             : kv::noop_command();
     ra.items.push_back(OwnItem{i, cmd});
     if (i >= afloor()) {
-      Slot& s = slot(i);
-      // Self-accept (the ack joins the tally via the fsync barrier below).
-      if (s.st != St::kDecided) {
-        if (s.st == St::kEmpty || !(s.cmd == cmd)) {
-          if (s.st == St::kValued) count_out(s.cmd);
-          s.cmd = cmd;
-          count_in(cmd);
-        }
-        s.st = St::kValued;
-        s.bal = rev_.bal;
-        persist_slot(i);
-      }
       rev_.acks[i] = {};
-      self_accepted.push_back(i);
+      // Self-accept (the ack joins the tally via the fsync barrier below).
+      if (accept_revoked(i, cmd, rev_.bal)) self_accepted.push_back(i);
     }
   }
+  persister_.hard_state();  // own_rev_floor_ may have moved
   broadcast(Message{ra});
   persister_.barrier([this, bal = rev_.bal, self_accepted] {
     if (!rev_.active || !(rev_.bal == bal)) return;
@@ -847,35 +847,7 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
       }
       continue;
     }
-    Slot& s = slot(item.index);
-    if (m.bal < s.promised) continue;
-    s.promised = m.bal;
-    if (owner_of(item.index) == group_.self) {
-      // One of our own slots is being revoked (every RevAccept ballot is
-      // > 0). Record it before our decided floor passes the slot, so the
-      // published rev_floor keeps peers from auto-deciding whatever stale
-      // ballot-0 value of ours they still hold (see note_owner_watermark).
-      own_rev_floor_ = std::max(own_rev_floor_, item.index);
-    }
-    if (s.st != St::kDecided) {
-      if (s.st == St::kEmpty || !(s.cmd == item.cmd)) {
-        if (s.st == St::kValued) {
-          count_out(s.cmd);
-          if (s.own_pending_ack) {
-            const kv::Command lost = s.cmd;
-            s.own_pending_ack = false;
-            submit(lost);
-          }
-        }
-        s.cmd = item.cmd;
-        count_in(item.cmd);
-      }
-      s.st = St::kValued;
-      s.bal = m.bal;
-      persist_slot(item.index);
-    } else {
-      persist_slot(item.index);  // the raised promise must survive a crash
-    }
+    if (!accept_revoked(item.index, item.cmd, m.bal)) continue;
     ok.indexes.push_back(item.index);
     max_seen_ = std::max(max_seen_, item.index);
   }
@@ -884,6 +856,39 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
   if (aged_out) send_snapshot(m.from);
   if (!ok.indexes.empty()) persister_.send(m.from, Message{ok}, wire_size(ok));
   advance_floors();
+}
+
+bool MenciusNode::accept_revoked(LogIndex i, const kv::Command& cmd,
+                                 const Ballot& bal) {
+  Slot& s = slot(i);
+  if (bal < s.promised) return false;
+  s.promised = bal;
+  if (owner_of(i) == group_.self) {
+    // One of our own slots is being revoked (every revocation ballot is
+    // > 0). Record it before our decided floor passes the slot, so the
+    // published rev_floor keeps peers from auto-deciding whatever stale
+    // ballot-0 value of ours they still hold (see note_owner_watermark).
+    own_rev_floor_ = std::max(own_rev_floor_, i);
+  }
+  if (s.st != St::kDecided) {
+    if (s.st == St::kEmpty || !(s.cmd == cmd)) {
+      if (s.st == St::kValued) {
+        count_out(s.cmd);
+        if (s.own_pending_ack) {
+          // Our proposal lost its slot: re-propose it on a fresh one.
+          const kv::Command lost = s.cmd;
+          s.own_pending_ack = false;
+          submit(lost);
+        }
+      }
+      s.cmd = cmd;
+      count_in(cmd);
+    }
+    s.st = St::kValued;
+    s.bal = bal;
+  }
+  persist_slot(i);  // a decided slot's raised promise must survive a crash
+  return true;
 }
 
 void MenciusNode::note_rev_ack(const consensus::Ballot& bal, LogIndex i,
@@ -1034,6 +1039,8 @@ void MenciusNode::maintenance() {
   if (now - last_progress_ > opt_.learn_after && max_seen_ >= afloor()) {
     const NodeId blocker = owner_of(afloor());
     const LogIndex hi = std::min(max_seen_ + 1, afloor() + 256);
+    // Our own live ballot-0 proposal is the retransmit path's to finish.
+    bool own_proposal = false;
     if (blocker != group_.self) {
       const Message learn{LearnReq{group_.self, afloor(), hi}};
       persister_.send(blocker, learn, wire_size(learn));
@@ -1045,10 +1052,20 @@ void MenciusNode::maintenance() {
       // and we missed the decision (we only learn no-op outcomes from
       // others). Any peer that executed past it can teach us.
       const Slot* s = slot_if(afloor());
-      if (s == nullptr || s->st != St::kValued ||
-          !(s->bal == Ballot{0, group_.self})) {
+      own_proposal = s != nullptr && s->st == St::kValued &&
+                     s->bal == Ballot{0, group_.self};
+      if (!own_proposal) {
         broadcast(Message{LearnReq{group_.self, afloor(), hi}});
       }
+    }
+    // Learning has not moved the floor for a whole revoke_after() while
+    // values wait behind the hole (idle owners' unused turns are no stall):
+    // the hole may be held by promises of a revocation that never finished,
+    // which reject its owner's ballot-0 retransmits, so nobody can decide or
+    // teach it. Revoke every slot of the stalled window.
+    if (!own_proposal && now - last_progress_ > revoke_after() &&
+        holds_unexecuted_value()) {
+      start_revocation(kNoNode, afloor(), max_seen_ + 1);
     }
   }
   advance_floors();

@@ -63,6 +63,8 @@ struct Options : consensus::TimingOptions {
 /// runtime.
 class MenciusNode : public consensus::NodeIface {
  public:
+  using Options = mencius::Options;
+
   /// `store` (nullable) is this node's stable storage: per-slot accepted
   /// values and revocation promises, the own-slot cursor and revocation
   /// floors persist through it; acks wait on the fsync barrier.
@@ -72,14 +74,24 @@ class MenciusNode : public consensus::NodeIface {
   void start() override;
   void on_packet(const net::Packet& p) override;
 
+  [[nodiscard]] std::optional<size_t> entry_count(
+      const net::Packet& p) const override {
+    const auto* msg = net::payload_as<Message>(p);
+    if (msg == nullptr) return std::nullopt;
+    return mencius::entry_count(*msg);
+  }
+
   /// Callbacks:
   ///  apply(index, cmd)  — in slot order, exactly once per slot;
-  ///  acked(cmd)         — the moment this node's OWN proposal may be
+  ///  early ack(cmd)     — the moment this node's OWN proposal may be
   ///                       acknowledged to the client (commit + commute
-  ///                       check), possibly before it executes.
+  ///                       check), possibly before it executes, and at the
+  ///                       latest when it executes.
   void set_apply(consensus::ApplyFn fn) override { apply_ = std::move(fn); }
-  using AckFn = std::function<void(const kv::Command&)>;
-  void set_acked(AckFn fn) { acked_ = std::move(fn); }
+  bool set_early_ack(consensus::AckFn fn) override {
+    acked_ = std::move(fn);
+    return true;
+  }
 
   void set_watermark_probe(consensus::WatermarkProbe probe) override {
     applier_.set_probe(std::move(probe));
@@ -189,6 +201,10 @@ class MenciusNode : public consensus::NodeIface {
   void persist_slot(LogIndex i) {
     if (!recovering_) slots_.persist(i);
   }
+  /// Accepts the revocation value `cmd` for unexecuted slot `i` at ballot
+  /// `bal` (an acceptor's phase 2, also the revoker's own). False when a
+  /// higher promise forbids it.
+  bool accept_revoked(LogIndex i, const kv::Command& cmd, const Ballot& bal);
   /// One revocation phase-2 acknowledgement for slot `i` (remote, or self
   /// once the self-accept's fsync barrier clears); decides on majority and
   /// collects the decide notice into `lv`.
@@ -199,6 +215,8 @@ class MenciusNode : public consensus::NodeIface {
   [[nodiscard]] size_t history_above_floor() const;
   /// Ships our checkpoint to `to` (stalled learner / stale revoker).
   void send_snapshot(NodeId to);
+  /// True when some unexecuted slot holds a value.
+  [[nodiscard]] bool holds_unexecuted_value() const;
   /// True when every slot of the active revocation is settled locally.
   [[nodiscard]] bool revocation_done() const;
 
@@ -227,6 +245,23 @@ class MenciusNode : public consensus::NodeIface {
   void on_slot_applied(LogIndex i, const kv::Command& cmd);
   void try_ack_own();
   void start_revocation(NodeId owner, LogIndex lo, LogIndex hi);
+  /// First slot at or above `lo` that a revocation of `owner` covers, and
+  /// the step to the next: the owner's residue class, or every slot for
+  /// kNoNode (a stalled window, whatever its owners).
+  [[nodiscard]] LogIndex first_revoked(NodeId owner, LogIndex lo) const {
+    if (owner == kNoNode) return lo;
+    const int orank = group_.rank_of(owner);
+    return lo + ((orank - lo) % n_ + n_) % n_;
+  }
+  [[nodiscard]] LogIndex revoke_stride(NodeId owner) const {
+    return owner == kNoNode ? 1 : n_;
+  }
+  /// How long a stall or an unfinished revocation lasts before this node
+  /// revokes (again). Staggered by rank, so that every replica stalled on
+  /// the same slot does not revoke it at once and preempt the others.
+  [[nodiscard]] Duration revoke_after() const {
+    return opt_.revoke_timeout + opt_.revoke_timeout * rank_ / n_;
+  }
   [[nodiscard]] bool commutes_below(LogIndex i, const kv::Command& cmd) const;
   Slot& slot(LogIndex i);
   [[nodiscard]] const Slot* slot_if(LogIndex i) const;
@@ -310,9 +345,12 @@ class MenciusNode : public consensus::NodeIface {
   consensus::CompactionTrigger compaction_;
   int64_t snapshots_installed_ = 0;
 
-  // Active revocation this node is running (one at a time).
+  // Active revocation this node is running (one at a time). One that has
+  // not finished within revoke_timeout (a lost RevPrepare, RevAccept or
+  // ok) is superseded at a higher ballot by the next start_revocation.
   struct Revocation {
     bool active = false;
+    Time started = 0;
     Ballot bal;
     NodeId owner = kNoNode;
     LogIndex lo = 0, hi = 0;
@@ -329,7 +367,7 @@ class MenciusNode : public consensus::NodeIface {
   bool advancing_ = false;
 
   consensus::ApplyFn apply_;
-  AckFn acked_;
+  consensus::AckFn acked_;
 };
 
 }  // namespace praft::mencius

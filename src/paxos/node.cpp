@@ -599,6 +599,14 @@ storage::RecoveryStats PaxosNode::recover(const storage::DurableImage& img) {
   return stats;
 }
 
+std::optional<size_t> PaxosNode::entry_count(const net::Packet& p) const {
+  const auto* msg = net::payload_as<Message>(p);
+  if (msg == nullptr) return std::nullopt;
+  if (const auto* ab = std::get_if<AcceptBatch>(msg)) return ab->cmds.size();
+  if (const auto* po = std::get_if<PrepareOk>(msg)) return po->accepted.size();
+  return 0;
+}
+
 void PaxosNode::on_packet(const net::Packet& p) {
   const auto* msg = net::payload_as<Message>(p);
   PRAFT_CHECK_MSG(msg != nullptr, "paxos node got foreign payload");

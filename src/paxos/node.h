@@ -34,6 +34,8 @@ struct Options : consensus::TimingOptions {};
 /// runtime.
 class PaxosNode : public consensus::NodeIface {
  public:
+  using Options = paxos::Options;
+
   /// `store` (nullable) is this node's stable storage: the promised ballot
   /// and every accepted (ballot, value) pair persist through it; PrepareOk /
   /// AcceptOk replies wait on the fsync barrier (storage::Persister).
@@ -42,6 +44,8 @@ class PaxosNode : public consensus::NodeIface {
 
   void start() override;
   void on_packet(const net::Packet& p) override;
+  [[nodiscard]] std::optional<size_t> entry_count(
+      const net::Packet& p) const override;
 
   /// Leader-only: assigns the command the next free instance. Returns the
   /// instance id, or -1 when not leader.

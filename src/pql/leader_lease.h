@@ -2,6 +2,7 @@
 
 #include "harness/log_server.h"
 #include "lease/manager.h"
+#include "raftstar/node.h"
 
 namespace praft::pql {
 
@@ -10,16 +11,18 @@ namespace praft::pql {
 /// clients still pay a WAN round trip to forward the read. Writes take the
 /// unmodified Raft* path (no holder gating — only the leader reads locally,
 /// and it observes every commit first).
-class LeaderLeaseServer : public harness::RaftStarServer {
+class LeaderLeaseServer
+    : public harness::TypedLogServer<raftstar::RaftStarNode> {
  public:
   LeaderLeaseServer(harness::NodeHost& host, consensus::Group group,
                     harness::CostModel costs, raftstar::Options opt = {},
-                    lease::Options lopt = {})
-      : harness::RaftStarServer(host, group, costs, opt),
+                    lease::Options lopt = {},
+                    storage::DurableStore* store = nullptr)
+      : TypedLogServer(host, group, costs, opt, store),
         leases_(group, host, lopt) {}
 
   void start() override {
-    harness::RaftStarServer::start();
+    TypedLogServer::start();
     leases_.start();
   }
 

@@ -1,12 +1,15 @@
 #include "pql/raftstar_pql.h"
 
+#include "pql/leader_lease.h"
+
 namespace praft::pql {
 
 RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
                                      consensus::Group group,
                                      harness::CostModel costs,
-                                     raftstar::Options opt, PqlOptions popt)
-    : harness::RaftStarServer(host, group, costs, opt), popt_(popt),
+                                     raftstar::Options opt, PqlOptions popt,
+                                     storage::DurableStore* store)
+    : TypedLogServer(host, group, costs, opt, store), popt_(popt),
       leases_(group, host, popt.lease) {
   // Non-mutating hooks (§4.2): all PQL state lives in this adapter.
   node().set_entry_observer(
@@ -27,7 +30,7 @@ RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
 }
 
 void RaftStarPqlServer::start() {
-  harness::RaftStarServer::start();
+  TypedLogServer::start();
   leases_.start();
   arm_gate_retry();
 }
@@ -115,6 +118,23 @@ void RaftStarPqlServer::drain_pending_reads() {
     }
     it = pending_reads_.erase(it);
   }
+}
+
+std::unique_ptr<harness::LogServer> make_lease_server(
+    const std::string& name, harness::NodeHost& host, consensus::Group group,
+    harness::CostModel costs, const consensus::TimingOptions& timing,
+    storage::DurableStore* store) {
+  raftstar::Options opt;
+  static_cast<consensus::TimingOptions&>(opt) = timing;
+  if (name == "raftstar-pql") {
+    return std::make_unique<RaftStarPqlServer>(host, std::move(group), costs,
+                                               opt, PqlOptions{}, store);
+  }
+  if (name == "raftstar-ll") {
+    return std::make_unique<LeaderLeaseServer>(host, std::move(group), costs,
+                                               opt, lease::Options{}, store);
+  }
+  return nullptr;
 }
 
 }  // namespace praft::pql

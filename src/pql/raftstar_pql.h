@@ -7,6 +7,7 @@
 
 #include "harness/log_server.h"
 #include "lease/manager.h"
+#include "raftstar/node.h"
 
 namespace praft::pql {
 
@@ -31,11 +32,13 @@ struct PqlOptions {
 ///  * Phase2b/appendOK: repliers piggyback the holders of leases THEY granted.
 ///  * LeaderLearn:  commit waits for appendOKs from every holder in
 ///                  (piggybacked holder sets ∪ leader's own grants).
-class RaftStarPqlServer : public harness::RaftStarServer {
+class RaftStarPqlServer
+    : public harness::TypedLogServer<raftstar::RaftStarNode> {
  public:
   RaftStarPqlServer(harness::NodeHost& host, consensus::Group group,
                     harness::CostModel costs, raftstar::Options opt = {},
-                    PqlOptions popt = {});
+                    PqlOptions popt = {},
+                    storage::DurableStore* store = nullptr);
 
   void start() override;
 
@@ -52,7 +55,7 @@ class RaftStarPqlServer : public harness::RaftStarServer {
         return costs_.client_request;
       }
     }
-    return harness::RaftStarServer::cost_of(p);
+    return TypedLogServer::cost_of(p);
   }
 
  protected:
@@ -92,5 +95,14 @@ class RaftStarPqlServer : public harness::RaftStarServer {
   int64_t local_reads_ = 0;
   uint64_t gate_epoch_ = 0;
 };
+
+/// The servers of the two lease systems by name: "raftstar-pql" (Raft*-PQL,
+/// this file) and "raftstar-ll" (Raft*-LL, leader_lease.h), each a Raft*
+/// node tuned by `timing` and persisting through `store`. Returns nullptr
+/// for any other name: those are plain registry protocols.
+std::unique_ptr<harness::LogServer> make_lease_server(
+    const std::string& name, harness::NodeHost& host, consensus::Group group,
+    harness::CostModel costs, const consensus::TimingOptions& timing,
+    storage::DurableStore* store);
 
 }  // namespace praft::pql

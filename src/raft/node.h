@@ -47,6 +47,8 @@ class RaftNode final : public consensus::RaftFamilyNode<RaftNode, Msgs> {
   friend Base;
 
  public:
+  using Options = raft::Options;
+
   /// `store` (nullable) is this node's stable storage: currentTerm/votedFor
   /// and the log persist through it, and every message that depends on them
   /// waits for its fsync barrier (storage::Persister).

@@ -59,6 +59,8 @@ class RaftStarNode final
   friend Base;
 
  public:
+  using Options = raftstar::Options;
+
   /// `store` (nullable) is this node's stable storage: term/votedFor, the
   /// log and its uniform ballot persist through it; dependent messages wait
   /// on the fsync barrier (storage::Persister).

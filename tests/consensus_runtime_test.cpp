@@ -10,7 +10,8 @@
 #include "consensus/log.h"
 #include "consensus/registry.h"
 #include "consensus/timer.h"
-#include "harness/protocols.h"
+#include "raft/node.h"
+#include "raftstar/node.h"
 #include "scripted_env.h"
 #include "storage/wal.h"
 
@@ -235,18 +236,17 @@ TEST(ApplierTest, UnboundedDrainForZeroBasedSlots) {
 // RaftFamilyNode: the core Raft and Raft* share, tested once for both.
 // ---------------------------------------------------------------------------
 
-template <typename Protocol>
+template <typename Node>
 class RaftFamilyTest : public ::testing::Test {};
-using RaftFamilyProtocols =
-    ::testing::Types<harness::RaftProtocol, harness::RaftStarProtocol>;
-TYPED_TEST_SUITE(RaftFamilyTest, RaftFamilyProtocols);
+using RaftFamilyNodes = ::testing::Types<raft::RaftNode, raftstar::RaftStarNode>;
+TYPED_TEST_SUITE(RaftFamilyTest, RaftFamilyNodes);
 
 TYPED_TEST(RaftFamilyTest, LeaderCountsItselfOnlyForDurableEntries) {
-  using Node = typename TypeParam::Node;
-  using Message = typename TypeParam::Message;
+  using Node = TypeParam;
+  using Message = typename Node::Message;
   ScriptedEnv env;
   storage::DurableStore store;
-  typename TypeParam::Options opt;
+  typename Node::Options opt;
   opt.election_timeout_min = msec(150);
   opt.election_timeout_max = msec(300);
   opt.heartbeat_interval = msec(50);

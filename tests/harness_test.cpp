@@ -4,6 +4,7 @@
 #include "harness/cost_model.h"
 #include "harness/experiment.h"
 #include "harness/log_server.h"
+#include "raft/node.h"
 #include "test_util.h"
 
 namespace praft {
@@ -76,7 +77,7 @@ TEST(ClusterTest, DefaultSitesAssignRoundRobin) {
   harness::ClusterConfig cfg = test::lan_config(5);
   cfg.num_replicas = 5;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>()));
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(cluster.server(i).site(), i);
@@ -87,7 +88,7 @@ TEST(ClusterTest, DefaultSitesAssignRoundRobin) {
 TEST(ClusterTest, EstablishLeaderRespectsPreference) {
   for (int preferred : {0, 2, 4}) {
     harness::Cluster cluster(test::lan_config(6));
-    cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+    cluster.build_replicas(test::make_factory<raft::RaftNode>(
         test::fast_options<raft::Options>()));
     EXPECT_EQ(cluster.establish_leader(preferred), preferred);
   }
@@ -96,7 +97,7 @@ TEST(ClusterTest, EstablishLeaderRespectsPreference) {
 TEST(ClientTest, RetriesAfterTimeout) {
   // A cluster with a permanently-dead server: the client must keep retrying.
   harness::Cluster cluster(test::lan_config(7));
-  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>()));
   cluster.net().faults().crash(cluster.server(0).id(), 0, sec(600));
   cluster.metrics().set_window(0, kTimeMax);
@@ -117,17 +118,58 @@ TEST(ClientTest, RetriesAfterTimeout) {
   EXPECT_EQ(client.completed(), 0u);
 }
 
+TEST(LogServerTest, EarlyAckRepliesOnceBeforeTheWriteExecutes) {
+  // Mencius acks its own committed write early when every earlier slot is
+  // known and commutes with it (§5.2). Replica 1 proposes slot 1 and dies
+  // before it can decide it, so every later slot waits for a revocation;
+  // replica 0's write to another key is answered once, at commit, long
+  // before replica 0 executes it.
+  harness::Cluster cluster(test::lan_config(31));
+  consensus::TimingOptions timing;
+  timing.batch_delay = msec(1);
+  timing.heartbeat_interval = msec(40);
+  cluster.build_replicas("mencius", timing);
+  Time executed_at = -1;
+  cluster.install_apply_probe(
+      [&](NodeId r, consensus::LogIndex, const kv::Command& c) {
+        if (r == cluster.replica_id(0) && c.key == 2 && executed_at < 0) {
+          executed_at = cluster.sim().now();
+        }
+      });
+  cluster.run_for(msec(200));
+
+  test::OneShotClient doomed(cluster.make_host(1));
+  doomed.send(cluster.replica_id(1), kv::Command{kv::Op::kPut, 1, 11, 8, 0, 0});
+  const Time t = cluster.sim().now();
+  cluster.net().faults().crash(cluster.replica_id(1), t + msec(3), t + sec(60));
+  cluster.run_for(msec(20));  // replica 1's slot 1 is valued everywhere
+
+  test::OneShotClient client(cluster.make_host(0));
+  client.send(cluster.replica_id(0), kv::Command{kv::Op::kPut, 2, 22, 8, 0, 0});
+  while (client.waiting() && cluster.sim().now() < t + sec(1)) {
+    cluster.run_for(msec(1));
+  }
+  ASSERT_FALSE(client.waiting()) << "the committed write was not acked";
+  EXPECT_LT(executed_at, 0) << "the reply should leave before execution";
+  const Time replied_at = cluster.sim().now();
+
+  cluster.run_for(sec(10));  // the dead owner's slot is revoked
+  ASSERT_GE(executed_at, 0) << "the write never executed";
+  EXPECT_GT(executed_at, replied_at + sec(1));
+  EXPECT_EQ(client.replies(), 1);
+  EXPECT_TRUE(doomed.waiting());
+}
+
 // ---------------------------------------------------------------------------
 // Experiment-runner smoke tests: every system of Figs. 9/10 boots, elects,
 // commits and reports sane figures end-to-end (parameterized).
 // ---------------------------------------------------------------------------
 
-class ExperimentSmokeTest
-    : public ::testing::TestWithParam<harness::SystemKind> {};
+class ExperimentSmokeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExperimentSmokeTest, RunsAndCommits) {
   harness::ExperimentConfig cfg;
-  cfg.system = GetParam();
+  cfg.protocol = GetParam();
   cfg.clients_per_region = 5;
   cfg.workload.read_fraction = 0.5;
   cfg.workload.conflict_rate = 0.05;
@@ -136,8 +178,7 @@ TEST_P(ExperimentSmokeTest, RunsAndCommits) {
   cfg.cooldown = msec(500);
   cfg.seed = 777;
   const auto res = harness::run_experiment(cfg);
-  EXPECT_GT(res.throughput_ops, 10.0)
-      << harness::system_name(cfg.system);
+  EXPECT_GT(res.throughput_ops, 10.0) << cfg.protocol;
   // Latency sanity: nothing below the intra-site RTT floor, nothing above
   // the client retry timeout.
   const auto check = [&](const harness::LatencySummary& s) {
@@ -153,15 +194,11 @@ TEST_P(ExperimentSmokeTest, RunsAndCommits) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSystems, ExperimentSmokeTest,
-    ::testing::Values(harness::SystemKind::kRaft, harness::SystemKind::kRaftStar,
-                      harness::SystemKind::kPaxos,
-                      harness::SystemKind::kRaftStarPql,
-                      harness::SystemKind::kRaftStarLL,
-                      harness::SystemKind::kRaftStarMencius),
-    [](const ::testing::TestParamInfo<harness::SystemKind>& info) {
-      std::string n = harness::system_name(info.param);
+    ::testing::Values("raft", "raftstar", "multipaxos", "mencius",
+                      "raftstar-pql", "raftstar-ll"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string n = info.param;
       for (char& c : n) {
-        if (c == '*') c = 'S';
         if (c == '-') c = '_';
       }
       return n;
@@ -176,9 +213,9 @@ TEST(ExperimentPropertyTest, PqlReadsBeatRaftReads) {
   cfg.run = sec(5);
   cfg.warmup = sec(3);
   cfg.seed = 778;
-  cfg.system = harness::SystemKind::kRaftStarPql;
+  cfg.protocol = "raftstar-pql";
   const auto pql = harness::run_experiment(cfg);
-  cfg.system = harness::SystemKind::kRaft;
+  cfg.protocol = "raft";
   const auto raft = harness::run_experiment(cfg);
   EXPECT_LT(pql.follower_reads.p50, msec(10));
   EXPECT_GT(raft.follower_reads.p50, msec(50));
@@ -192,9 +229,9 @@ TEST(ExperimentPropertyTest, MenciusAvoidsForwardingLatency) {
   cfg.run = sec(5);
   cfg.warmup = sec(3);
   cfg.seed = 779;
-  cfg.system = harness::SystemKind::kRaftStarMencius;
+  cfg.protocol = "mencius";
   const auto mencius = harness::run_experiment(cfg);
-  cfg.system = harness::SystemKind::kRaft;
+  cfg.protocol = "raft";
   cfg.leader_replica = 4;  // Seoul: worst forwarding case
   const auto raft = harness::run_experiment(cfg);
   // Every Mencius region commits via its own nearest quorum; Raft-Seoul's

@@ -143,6 +143,47 @@ TEST_F(RevocationFixture, SilentOwnerWithNothingGetsNoops) {
   EXPECT_TRUE(applied11_[1].second == mine);
 }
 
+TEST_F(RevocationFixture, LostRevPrepareIsRetriedAndDecidesTheSlot) {
+  // A revocation whose RevPrepare is lost must not stay active for good: its
+  // revoker re-prepares at a higher ballot after revoke_timeout, and the
+  // slot is still decided (here: recovering the dead owner's value).
+  const kv::Command v{kv::Op::kPut, 5, 55, 8, 9, 1};
+  mencius::AcceptOwn ao;
+  ao.owner = 10;
+  ao.items = {mencius::OwnItem{0, v}};
+  n11_.on_packet(packet(10, 11, mencius::Message{ao}));
+  env11_.clear();
+
+  const auto* lost = starve_until_revocation();
+  ASSERT_NE(lost, nullptr);
+  const consensus::Ballot first = lost->bal;
+  env11_.clear();  // the RevPrepare never reaches 12
+
+  env11_.advance(msec(600));  // past revoke_timeout (+ rank stagger)
+  const auto* prep = find_sent<mencius::RevPrepare>(env11_, 12);
+  ASSERT_NE(prep, nullptr) << "the lost revocation was never retried";
+  EXPECT_GT(prep->bal, first);
+  EXPECT_EQ(prep->lo, 0);
+
+  n12_.on_packet(packet(11, 12, mencius::Message{*prep}));
+  const auto* pok = find_sent<mencius::RevPrepareOk>(env12_, 11);
+  ASSERT_NE(pok, nullptr);
+  env11_.clear();
+  n11_.on_packet(packet(12, 11, mencius::Message{*pok}));
+  const auto* acc = find_sent<mencius::RevAccept>(env11_, 12);
+  ASSERT_NE(acc, nullptr);
+  ASSERT_FALSE(acc->items.empty());
+  EXPECT_TRUE(acc->items[0].cmd == v);
+  env12_.clear();
+  n12_.on_packet(packet(11, 12, mencius::Message{*acc}));
+  const auto* aok = find_sent<mencius::RevAcceptOk>(env12_, 11);
+  ASSERT_NE(aok, nullptr);
+  n11_.on_packet(packet(12, 11, mencius::Message{*aok}));
+  ASSERT_FALSE(applied11_.empty());
+  EXPECT_EQ(applied11_[0].first, 0);
+  EXPECT_TRUE(applied11_[0].second == v);
+}
+
 TEST_F(RevocationFixture, StaleRevokerIsIgnored) {
   // A promise at a higher ballot blocks older revocations.
   mencius::RevPrepare high;
@@ -168,7 +209,7 @@ TEST_F(RevocationFixture, RevokedOwnerJumpsPastItsSlots) {
   mencius::MenciusNode n10(group_of(10, {10, 11, 12}), env10,
                            revoke_options());
   std::vector<kv::Command> acked;
-  n10.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n10.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   n10.start();
   const kv::Command v{kv::Op::kPut, 3, 33, 8, 2, 1};
   ASSERT_EQ(n10.submit(v), 0);

@@ -72,7 +72,7 @@ TEST(MenciusUnitTest, QuorumAcksDecideOwnSlot) {
   test::ScriptedEnv env;
   mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
-  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   std::vector<consensus::LogIndex> applied;
   n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
     applied.push_back(i);
@@ -96,7 +96,7 @@ TEST(MenciusUnitTest, CommutativeOpAckedBeforeExecution) {
   test::ScriptedEnv env;
   mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
-  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   std::vector<consensus::LogIndex> applied;
   n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
     applied.push_back(i);
@@ -125,7 +125,7 @@ TEST(MenciusUnitTest, ConflictingOpWaitsForExecution) {
   test::ScriptedEnv env;
   mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
-  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   n.start();
   // Owner 10's slot 0 holds the SAME key (undecided).
   mencius::AcceptOwn ao;
@@ -329,7 +329,7 @@ TEST(MenciusUnitTest, DecidedCommutingOwnSlotAckedPastUndecidedOwnSlot) {
   test::ScriptedEnv env;
   mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
-  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   n.start();
   const kv::Command first = put(5, 1);
   const kv::Command second = put(6, 2);
@@ -355,7 +355,7 @@ TEST(MenciusUnitTest, NothingAtOrAboveInfoFloorIsAcked) {
   test::ScriptedEnv env;
   mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
-  n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  n.set_early_ack([&](const kv::Command& c) { acked.push_back(c); });
   n.start();
   const kv::Command first = put(5, 1);
   const kv::Command second = put(6, 2);

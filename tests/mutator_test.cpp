@@ -346,5 +346,63 @@ TEST(EvolveTest, SeededCorpusEntersTheInitialPopulation) {
   ASSERT_FALSE(stats.population.empty());
 }
 
+TEST(EvolveTest, SeedEntryFlagsRideThroughEvolution) {
+  // A replayed corpus entry keeps the flags it was saved with: a 3-replica
+  // run with the injected quorum bug must still run as one (and fail, as
+  // it does when replayed alone), and the failure must come back with its
+  // flags, not under the batch-wide defaults.
+  EvolveOptions eopt;
+  eopt.generations = 1;
+  eopt.population = 3;
+  eopt.elite = 2;
+  eopt.rng_seed = 1;
+  eopt.protocols = {"raft"};
+
+  RunOptions buggy;
+  buggy.protocol = "raft";
+  buggy.seed = 3;
+  buggy.num_replicas = 3;
+  buggy.inject_quorum_bug = true;
+  ASSERT_FALSE(run_one(buggy).ok);
+  EvolveCandidate seed_cand;
+  seed_cand.protocol = "raft";
+  seed_cand.schedule = schedule_of(buggy);
+  seed_cand.flags = buggy;
+
+  const EvolveStats stats = evolve(eopt, {seed_cand});
+  ASSERT_FALSE(stats.failed_candidates.empty());
+  const EvolveCandidate& failed = stats.failed_candidates.front();
+  ASSERT_TRUE(failed.flags.has_value());
+  EXPECT_TRUE(failed.flags->inject_quorum_bug);
+  EXPECT_EQ(failed.flags->num_replicas, 3);
+
+  // Passing flagged entries (as many as the population, so no fresh
+  // candidate joins) enter the archive with their flags, and the offspring
+  // of the next generation inherit them.
+  std::vector<EvolveCandidate> small_seeds;
+  for (uint64_t seed : {3, 4}) {
+    RunOptions small;
+    small.protocol = "raft";
+    small.seed = seed;
+    small.num_replicas = 3;
+    EvolveCandidate c;
+    c.protocol = "raft";
+    c.schedule = schedule_of(small);
+    c.flags = small;
+    small_seeds.push_back(c);
+  }
+  eopt.population = 2;
+  eopt.elite = 1;
+  eopt.generations = 2;
+  const EvolveStats kept = evolve(eopt, small_seeds);
+  EXPECT_EQ(kept.runs, 4u);
+  EXPECT_TRUE(kept.failures.empty());
+  ASSERT_FALSE(kept.population.empty());
+  for (const EvolveCandidate& c : kept.population) {
+    ASSERT_TRUE(c.flags.has_value());
+    EXPECT_EQ(c.flags->num_replicas, 3);
+  }
+}
+
 }  // namespace
 }  // namespace praft::chaos

@@ -120,7 +120,7 @@ TEST(PqlClusterTest, WritesWaitForAllLeaseHolders) {
   // Fig. 9b: PQL write latency exceeds plain Raft*'s because commit waits
   // for every lease holder, not just the fastest majority.
   harness::Cluster plain(test::wan_config(32));
-  plain.build_replicas(test::make_factory<harness::RaftStarProtocol>(
+  plain.build_replicas(test::make_factory<raftstar::RaftStarNode>(
       wan_rs_options()));
   ASSERT_EQ(plain.establish_leader(0), 0);
   plain.metrics().set_window(0, kTimeMax);

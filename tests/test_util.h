@@ -72,13 +72,14 @@ inline harness::ClusterConfig wan_config(uint64_t seed) {
   return cfg;
 }
 
-template <typename P>
+template <typename Node>
 harness::Cluster::ServerFactory make_factory(
-    typename P::Options opt, std::shared_ptr<ApplyRecord> record = nullptr) {
+    typename Node::Options opt, std::shared_ptr<ApplyRecord> record = nullptr) {
   return [opt, record](harness::NodeHost& host, const consensus::Group& g) {
     harness::CostModel costs;
     costs.enabled = false;
-    auto server = std::make_unique<harness::TypedLogServer<P>>(host, g, costs, opt);
+    auto server =
+        std::make_unique<harness::TypedLogServer<Node>>(host, g, costs, opt);
     if (record) {
       server->set_apply_probe(
           [record](NodeId n, consensus::LogIndex i, const kv::Command& c) {

@@ -395,6 +395,16 @@ PlannedRun planned_run_of(const CliOptions& cli,
                           const chaos::EvolveCandidate& c) {
   PlannedRun run = planned_seed_run(cli, c.protocol, c.schedule.seed);
   run.schedule = c.schedule;
+  if (c.flags.has_value()) {  // a seed-file entry's own flags, inherited
+    const chaos::RunOptions& f = *c.flags;
+    run.compaction_cap = f.compaction_log_cap;
+    run.inject_quorum_bug = f.inject_quorum_bug;
+    run.restarts = f.crash_restarts;
+    run.inject_persistence_bug = f.inject_persistence_bug;
+    run.wan = f.wan;
+    run.groups = f.groups;
+    run.replicas = f.num_replicas;
+  }
   return run;
 }
 
@@ -433,12 +443,15 @@ int run_evolution(const CliOptions& cli,
   eopt.base.groups = cli.groups;
 
   // Seed the population from --seed-file entries: explicit schedule blocks
-  // verbatim, seed lines expanded exactly as run_one would expand them.
+  // verbatim, seed lines expanded exactly as run_one would expand them, each
+  // under its own flags (kept by its offspring and written back with them).
   std::vector<chaos::EvolveCandidate> seeds;
   for (const PlannedRun& pr : planned) {
     chaos::EvolveCandidate cand;
     cand.protocol = pr.protocol;
-    cand.schedule = chaos::schedule_of(run_options_of(pr));
+    const chaos::RunOptions flags = run_options_of(pr);
+    cand.schedule = chaos::schedule_of(flags);
+    cand.flags = flags;
     seeds.push_back(std::move(cand));
   }
 
