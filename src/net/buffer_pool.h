@@ -17,7 +17,8 @@ class BufferPool;
 /// Packet that owns it and returns its slab to the pool's freelist on
 /// destruction, so steady-state encode/send/deliver cycles reuse the same
 /// memory instead of allocating. A default-constructed Frame is null
-/// (valid() == false) — duplicate deliveries and legacy paths carry one.
+/// (valid() == false) — hand-built packets that never crossed the network
+/// carry one.
 class Frame {
  public:
   Frame() = default;

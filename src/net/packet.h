@@ -10,12 +10,13 @@
 
 namespace praft::net {
 
-/// A message in flight. The payload is type-erased so one network stack can
-/// carry every protocol's message set; `bytes` is the exact encoded wire
-/// size used for bandwidth/CPU accounting. `wire` is the pooled flat frame
-/// the codec produced (see net/wire.h) — null on paths that bypass the
-/// network codec (hand-built test packets, duplicate deliveries); its slab
-/// returns to the pool when the packet dies, which makes Packet move-only.
+/// A delivered message. `wire` is the pooled flat frame that crossed the
+/// network (see net/wire.h), and `payload` is its decode: the type-erased
+/// message set of one protocol family, so one network stack carries every
+/// protocol. `bytes` is the exact encoded size used for bandwidth/CPU
+/// accounting. Hand-built packets (unit tests that call a node directly)
+/// carry a null `wire`. The frame's slab returns to the pool when the packet
+/// dies, which makes Packet move-only.
 struct Packet {
   NodeId from = kNoNode;
   NodeId to = kNoNode;

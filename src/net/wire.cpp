@@ -1,16 +1,14 @@
 #include "net/wire.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace praft::net {
 
 void CodecRegistry::add(std::type_index type, Codec codec) {
   const uint8_t fam = static_cast<uint8_t>(codec.family);
   auto [it, inserted] = by_type_.emplace(type, std::move(codec));
   PRAFT_CHECK_MSG(inserted, "duplicate codec for payload type");
-  auto [fit, finserted] = by_family_.emplace(fam, &it->second);
-  PRAFT_CHECK_MSG(finserted, "duplicate codec for family byte");
+  PRAFT_CHECK_MSG(by_family_[fam] == nullptr,
+                  "duplicate codec for family byte");
+  by_family_[fam] = &it->second;
 }
 
 CodecRegistry& codec_registry() {
@@ -21,31 +19,5 @@ CodecRegistry& codec_registry() {
   }();
   return *reg;
 }
-
-namespace {
-
-bool env_flag_default() {
-#ifdef PRAFT_WIRE_VERIFY_DEFAULT
-  bool on = true;
-#else
-  bool on = false;
-#endif
-  if (const char* v = std::getenv("PRAFT_WIRE_VERIFY")) {
-    on = std::strcmp(v, "1") == 0 || std::strcmp(v, "ON") == 0 ||
-         std::strcmp(v, "on") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "yes") == 0;
-  }
-  return on;
-}
-
-bool& verify_flag() {
-  static bool on = env_flag_default();
-  return on;
-}
-
-}  // namespace
-
-bool wire_verify_enabled() { return verify_flag(); }
-void set_wire_verify(bool on) { verify_flag() = on; }
 
 }  // namespace praft::net

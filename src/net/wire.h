@@ -1,6 +1,7 @@
 #pragma once
 
 #include <any>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -200,13 +201,12 @@ struct Codec {
   Family family = Family::kNone;
   std::function<Frame(const std::any&, BufferPool&)> encode;
   std::function<std::any(FrameView)> decode;
-  std::function<bool(const std::any&, const std::any&)> equals;
 };
 
 /// Maps payload types (std::type_index of the variant) and family bytes to
-/// codecs. The network looks up by payload type on send and asserts
-/// byte-exactness; PRAFT_WIRE_VERIFY additionally decodes the frame back and
-/// compares against the original struct.
+/// codecs. The network encodes by payload type on send (asserting
+/// byte-exactness) and decodes by the frame's family byte on delivery, so
+/// every message a node receives has round-tripped its codec.
 class CodecRegistry {
  public:
   void add(std::type_index type, Codec codec);
@@ -216,13 +216,12 @@ class CodecRegistry {
     return it == by_type_.end() ? nullptr : &it->second;
   }
   [[nodiscard]] const Codec* find(Family family) const {
-    auto it = by_family_.find(static_cast<uint8_t>(family));
-    return it == by_family_.end() ? nullptr : it->second;
+    return by_family_[static_cast<uint8_t>(family)];
   }
 
  private:
   std::unordered_map<std::type_index, Codec> by_type_;
-  std::unordered_map<uint8_t, const Codec*> by_family_;
+  std::array<const Codec*, 256> by_family_{};  // indexed by the family byte
 };
 
 /// Registers a variant message type M with free functions
@@ -239,11 +238,6 @@ void register_codec(CodecRegistry& reg, Family family,
     return enc(*m, pool);
   };
   c.decode = [dec](FrameView f) { return std::any(dec(f)); };
-  c.equals = [](const std::any& a, const std::any& b) {
-    const M* ma = std::any_cast<M>(&a);
-    const M* mb = std::any_cast<M>(&b);
-    return ma != nullptr && mb != nullptr && *ma == *mb;
-  };
   reg.add(std::type_index(typeid(M)), std::move(c));
 }
 
@@ -254,12 +248,5 @@ CodecRegistry& codec_registry();
 /// Installs the built-in family codecs; defined in builtin_codecs.cpp so a
 /// static praft library cannot drop the registrations.
 void install_builtin_codecs(CodecRegistry& reg);
-
-/// PRAFT_WIRE_VERIFY: when on, every Network send round-trips
-/// encode→decode and compares against the original struct. Initialized from
-/// the PRAFT_WIRE_VERIFY environment variable (1/ON/true/yes) or the
-/// compile-time default (-DPRAFT_WIRE_VERIFY cmake option).
-bool wire_verify_enabled();
-void set_wire_verify(bool on);
 
 }  // namespace praft::net

@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -46,26 +47,17 @@ bool Network::usable(NodeId n, Time t) const {
   return node.up && !faults_.is_down(n, t);
 }
 
-void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
+void Network::send(NodeId from, NodeId to, const std::any& payload,
+                   size_t bytes) {
   const Time now = sim_.now();
 
-  // Encode through the flat codec when the payload type has one (every
-  // protocol message does). The encoded size is authoritative for all
-  // bandwidth/CPU accounting; encoding consumes no RNG, so trajectories stay
-  // seed-deterministic. PRAFT_WIRE_VERIFY additionally round-trips the frame
-  // back through decode() and compares with the original struct.
-  net::Frame frame;
-  if (const net::Codec* codec = net::codec_registry().find(payload)) {
-    frame = codec->encode(payload, pool_);
-    PRAFT_CHECK_MSG(frame.size() == bytes,
-                    "claimed wire_size != encoded frame size");
-    if (net::wire_verify_enabled()) {
-      const std::any back = codec->decode(net::view(frame));
-      PRAFT_CHECK_MSG(codec->equals(payload, back),
-                      "wire round-trip diverged from the original message");
-    }
-    bytes = frame.size();
-  }
+  // The encoded size is authoritative for all bandwidth/CPU accounting;
+  // encoding consumes no RNG, so trajectories stay seed-deterministic.
+  const net::Codec* codec = net::codec_registry().find(payload);
+  PRAFT_CHECK_MSG(codec != nullptr, "payload type has no wire codec");
+  net::Frame frame = codec->encode(payload, pool_);
+  PRAFT_CHECK_MSG(frame.size() == bytes,
+                  "claimed wire_size != encoded frame size");
 
   ++messages_sent_;
   bytes_sent_ += bytes;
@@ -94,32 +86,36 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   }
 
   // A duplicated message is delivered twice: the copy models a spurious
-  // retransmission — independent latency draw, no FIFO coupling. The copy
-  // carries no frame (the original owns the pooled slab).
+  // retransmission — independent latency draw, no FIFO coupling — and
+  // carries its own pooled copy of the frame.
   if (faults_.duplicate_rate() > 0.0 &&
       sim_.rng().chance(faults_.duplicate_rate())) {
     const Duration extra = latency_.one_way(src.site, site_of(to), sim_.rng());
-    schedule_delivery(from, to, std::any(payload), bytes, net::Frame{},
-                      departure + extra);
+    net::Frame copy = pool_.acquire(frame.size());
+    std::copy_n(frame.data(), frame.size(), copy.data());
+    copy.set_size(frame.size());
+    schedule_delivery(from, to, std::move(copy), departure + extra);
   }
 
-  schedule_delivery(from, to, std::move(payload), bytes, std::move(frame),
-                    arrival);
+  schedule_delivery(from, to, std::move(frame), arrival);
 }
 
-void Network::schedule_delivery(NodeId from, NodeId to, std::any payload,
-                                size_t bytes, net::Frame frame, Time arrival) {
-  // Payload and frame are moved into the scheduled closure; delivery
-  // re-checks that the destination is alive *at arrival time* (it may crash
-  // in flight). A dropped delivery destroys the closure and the frame's slab
-  // returns to the pool.
-  sim_.at(arrival, [this, from, to, bytes, p = std::move(payload),
-                    f = std::move(frame)]() mutable {
+void Network::schedule_delivery(NodeId from, NodeId to, net::Frame frame,
+                                Time arrival) {
+  // The frame is moved into the scheduled closure; delivery re-checks that
+  // the destination is alive *at arrival time* (it may crash in flight) and
+  // only then decodes the frame into the packet's payload. A dropped
+  // delivery destroys the closure and the frame's slab returns to the pool.
+  sim_.at(arrival, [this, from, to, f = std::move(frame)]() mutable {
     if (!usable(to, sim_.now())) return;
     if (faults_.is_blocked(from, to, sim_.now())) return;
     ++messages_delivered_;
+    const net::FrameView v = net::view(f);
+    std::any payload =
+        net::codec_registry().find(net::frame_family(v))->decode(v);
+    const size_t bytes = f.size();
     nodes_[static_cast<size_t>(to)].deliver(
-        net::Packet{from, to, bytes, std::move(p), std::move(f)});
+        net::Packet{from, to, bytes, std::move(payload), std::move(f)});
   });
 }
 

@@ -34,14 +34,14 @@ class Network {
   NodeId add_node(SiteId site, net::DeliverFn deliver,
                   double egress_bytes_per_us = 0.0);
 
-  /// Sends `payload` from `from` to `to`. When the payload type has a codec
-  /// registered (every protocol message does), it is encoded into a pooled
-  /// flat frame and `bytes` must equal the encoded size — bandwidth is
-  /// charged from real encoded bytes. Payload types without a codec (raw
-  /// test payloads) fall back to the claimed `bytes`. Self-sends are
-  /// delivered after the local RTT/2 (loopback still hops the event queue,
-  /// never reenters the sender synchronously).
-  void send(NodeId from, NodeId to, std::any payload, size_t bytes);
+  /// Sends `payload` from `from` to `to`. The payload is encoded through its
+  /// family codec into a pooled flat frame and then dropped: the frame is
+  /// the only thing in flight, and the receiver's Packet::payload is the
+  /// decode of that frame. `bytes` must equal the encoded size (bandwidth is
+  /// charged from real encoded bytes); a payload type with no codec is
+  /// refused. Self-sends are delivered after the local RTT/2 (loopback still
+  /// hops the event queue, never reenters the sender synchronously).
+  void send(NodeId from, NodeId to, const std::any& payload, size_t bytes);
 
   FaultPlan& faults() { return faults_; }
   [[nodiscard]] const FaultPlan& faults() const { return faults_; }
@@ -71,8 +71,8 @@ class Network {
   };
 
   [[nodiscard]] bool usable(NodeId n, Time t) const;
-  void schedule_delivery(NodeId from, NodeId to, std::any payload,
-                         size_t bytes, net::Frame frame, Time arrival);
+  void schedule_delivery(NodeId from, NodeId to, net::Frame frame,
+                         Time arrival);
 
   Simulator& sim_;
   LatencyMatrix latency_;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <vector>
 
 #include "net/packet.h"
@@ -8,6 +7,7 @@
 #include "sim/latency.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace praft::sim {
 namespace {
@@ -107,7 +107,7 @@ struct TestNet {
   explicit TestNet(uint64_t seed = 1)
       : sim(seed), net(sim, LatencyMatrix(1, msec(10))) {
     a = net.add_node(0, [this](net::Packet&& p) {
-      received.push_back(std::any_cast<int>(p.payload));
+      received.push_back(static_cast<int>(test::tag_of(p)));
     });
     b = net.add_node(0, [](net::Packet&&) {});
   }
@@ -120,7 +120,7 @@ struct TestNet {
 TEST(NetworkChaosTest, DuplicationDeliversTwiceFifoOtherwiseIntact) {
   TestNet w;
   w.net.faults().set_duplicate_rate(1.0);  // every message duplicated
-  w.net.send(w.b, w.a, 7, 8);
+  test::send_tagged(w.net, w.b, w.a, 7, 8);
   w.sim.run_until(sec(1));
   ASSERT_EQ(w.received.size(), 2u);
   EXPECT_EQ(w.received[0], 7);
@@ -136,8 +136,8 @@ TEST(NetworkChaosTest, ReorderingAllowsOvertaking) {
   bool overtaken = false;
   for (int round = 0; round < 200 && !overtaken; ++round) {
     w.received.clear();
-    w.net.send(w.b, w.a, 0, 8);
-    w.net.send(w.b, w.a, 1, 8);
+    test::send_tagged(w.net, w.b, w.a, 0, 8);
+    test::send_tagged(w.net, w.b, w.a, 1, 8);
     w.sim.run_for(sec(1));
     ASSERT_EQ(w.received.size(), 2u);
     overtaken = (w.received[0] == 1);
@@ -149,8 +149,8 @@ TEST(NetworkChaosTest, FifoPreservedWhenKnobsOff) {
   TestNet w(7);
   for (int round = 0; round < 50; ++round) {
     w.received.clear();
-    w.net.send(w.b, w.a, 0, 8);
-    w.net.send(w.b, w.a, 1, 8);
+    test::send_tagged(w.net, w.b, w.a, 0, 8);
+    test::send_tagged(w.net, w.b, w.a, 1, 8);
     w.sim.run_for(sec(1));
     ASSERT_EQ(w.received.size(), 2u);
     EXPECT_EQ(w.received[0], 0);
@@ -161,10 +161,10 @@ TEST(NetworkChaosTest, FifoPreservedWhenKnobsOff) {
 TEST(NetworkChaosTest, DropBurstWindowDropsThenHeals) {
   TestNet w;
   w.net.faults().drop_burst(1.0, 0, sec(1));  // everything dropped early on
-  w.net.send(w.b, w.a, 1, 8);
+  test::send_tagged(w.net, w.b, w.a, 1, 8);
   w.sim.run_until(sec(2));
   EXPECT_TRUE(w.received.empty());
-  w.net.send(w.b, w.a, 2, 8);  // after the burst: delivered
+  test::send_tagged(w.net, w.b, w.a, 2, 8);  // after the burst: delivered
   w.sim.run_until(sec(3));
   ASSERT_EQ(w.received.size(), 1u);
   EXPECT_EQ(w.received[0], 2);

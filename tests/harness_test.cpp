@@ -65,8 +65,8 @@ TEST(NodeHostTest, CpuQueueDelaysProcessing) {
   receiver.attach(&handler);
 
   // Two messages arrive ~together; the second waits behind the first.
-  net.send(sender.id(), receiver.id(), 1, 10);
-  net.send(sender.id(), receiver.id(), 2, 10);
+  test::send_tagged(net, sender.id(), receiver.id(), 1, 10);
+  test::send_tagged(net, sender.id(), receiver.id(), 2, 10);
   sim.run_for(msec(100));
   EXPECT_EQ(handler.handled, 2);
   EXPECT_GE(handler.last, msec(20));  // ~arrival + 2 x 10 ms service

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <any>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
+#include "harness/messages.h"
 #include "net/packet.h"
+#include "net/wire.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/latency.h"
 #include "sim/network.h"
 #include "sim/resources.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace praft::sim {
 namespace {
@@ -190,19 +195,19 @@ class NetworkFixture : public ::testing::Test {
 TEST_F(NetworkFixture, DeliversAfterOneWayLatency) {
   const NodeId a = add(LatencyMatrix::kOregon);
   const NodeId b = add(LatencyMatrix::kSeoul);
-  net_.send(a, b, std::string("hi"), 100);
+  test::send_tagged(net_, a, b, 42, 100);
   sim_.run_for(msec(50));
   EXPECT_TRUE(received_[1].empty());  // 126/2 = 63 ms one way
   sim_.run_for(msec(30));
   ASSERT_EQ(received_[1].size(), 1u);
-  EXPECT_EQ(*net::payload_as<std::string>(received_[1][0]), "hi");
+  EXPECT_EQ(test::tag_of(received_[1][0]), 42u);
   EXPECT_EQ(received_[1][0].from, a);
 }
 
 TEST_F(NetworkFixture, IntraSiteIsFast) {
   const NodeId a = add(0);
   const NodeId b = add(0);
-  net_.send(a, b, 1, 10);
+  test::send_tagged(net_, a, b, 1, 10);
   sim_.run_for(msec(2));
   EXPECT_EQ(received_[1].size(), 1u);
 }
@@ -211,12 +216,12 @@ TEST_F(NetworkFixture, CrashedNodeNeitherSendsNorReceives) {
   const NodeId a = add(0);
   const NodeId b = add(1);
   net_.faults().crash(b, 0, sec(1));
-  net_.send(a, b, 1, 10);
+  test::send_tagged(net_, a, b, 1, 10);
   sim_.run_for(msec(500));
   EXPECT_TRUE(received_[1].empty());
   net_.faults().crash(a, sec(1), sec(2));
   sim_.run_until(sec(1) + msec(1));
-  net_.send(a, b, 2, 10);
+  test::send_tagged(net_, a, b, 2, 10);
   sim_.run_for(msec(500));
   EXPECT_TRUE(received_[1].empty());
 }
@@ -224,7 +229,7 @@ TEST_F(NetworkFixture, CrashedNodeNeitherSendsNorReceives) {
 TEST_F(NetworkFixture, CrashInFlightDropsDelivery) {
   const NodeId a = add(LatencyMatrix::kOregon);
   const NodeId b = add(LatencyMatrix::kSeoul);
-  net_.send(a, b, 1, 10);           // arrives ~63 ms
+  test::send_tagged(net_, a, b, 1, 10);           // arrives ~63 ms
   net_.faults().crash(b, msec(10), msec(200));
   sim_.run_for(msec(150));
   EXPECT_TRUE(received_[1].empty());
@@ -234,13 +239,13 @@ TEST_F(NetworkFixture, PartitionBlocksBothWays) {
   const NodeId a = add(0);
   const NodeId b = add(1);
   net_.faults().partition_pair(a, b, 0, sec(1));
-  net_.send(a, b, 1, 10);
-  net_.send(b, a, 2, 10);
+  test::send_tagged(net_, a, b, 1, 10);
+  test::send_tagged(net_, b, a, 2, 10);
   sim_.run_for(msec(500));
   EXPECT_TRUE(received_[0].empty());
   EXPECT_TRUE(received_[1].empty());
   sim_.run_until(sec(1) + msec(1));
-  net_.send(a, b, 3, 10);
+  test::send_tagged(net_, a, b, 3, 10);
   sim_.run_for(msec(100));
   EXPECT_EQ(received_[1].size(), 1u);
 }
@@ -249,7 +254,7 @@ TEST_F(NetworkFixture, DropRateLosesRoughlyThatFraction) {
   const NodeId a = add(0);
   const NodeId b = add(0);
   net_.faults().set_drop_rate(0.5);
-  for (int i = 0; i < 1000; ++i) net_.send(a, b, i, 10);
+  for (int i = 0; i < 1000; ++i) test::send_tagged(net_, a, b, i, 10);
   sim_.run_for(msec(100));
   EXPECT_GT(received_[1].size(), 350u);
   EXPECT_LT(received_[1].size(), 650u);
@@ -259,7 +264,7 @@ TEST_F(NetworkFixture, EgressBandwidthSerializesLargeSends) {
   // 1 byte/us egress: 10 x 1000-byte messages take ~10 ms to drain.
   const NodeId a = add(0, 1.0);
   const NodeId b = add(0);
-  for (int i = 0; i < 10; ++i) net_.send(a, b, i, 1000);
+  for (int i = 0; i < 10; ++i) test::send_tagged(net_, a, b, i, 1000);
   sim_.run_for(msec(3));
   EXPECT_LT(received_[1].size(), 4u);
   sim_.run_for(msec(12));
@@ -271,11 +276,12 @@ TEST_F(NetworkFixture, LinksAreFifoDespiteJitter) {
   // lands. Raft*'s no-erase append rule depends on this (DESIGN.md §5).
   const NodeId a = add(LatencyMatrix::kOregon);
   const NodeId b = add(LatencyMatrix::kSeoul);
-  for (int i = 0; i < 200; ++i) net_.send(a, b, i, 10);
+  for (int i = 0; i < 200; ++i) test::send_tagged(net_, a, b, i, 10);
   sim_.run_for(msec(200));
   ASSERT_EQ(received_[1].size(), 200u);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(*net::payload_as<int>(received_[1][static_cast<size_t>(i)]), i);
+    EXPECT_EQ(test::tag_of(received_[1][static_cast<size_t>(i)]),
+              static_cast<uint64_t>(i));
   }
 }
 
@@ -284,21 +290,72 @@ TEST_F(NetworkFixture, FifoIsPerLinkNotGlobal) {
   const NodeId a = add(LatencyMatrix::kOregon);
   const NodeId b = add(LatencyMatrix::kOhio);
   const NodeId c = add(LatencyMatrix::kOhio);
-  net_.send(a, c, 1, 10);
-  net_.send(b, c, 2, 10);  // much closer: arrives first
+  test::send_tagged(net_, a, c, 1, 10);
+  test::send_tagged(net_, b, c, 2, 10);  // much closer: arrives first
   sim_.run_for(msec(100));
   ASSERT_EQ(received_[2].size(), 2u);
-  EXPECT_EQ(*net::payload_as<int>(received_[2][0]), 2);
+  EXPECT_EQ(test::tag_of(received_[2][0]), 2u);
 }
 
 TEST_F(NetworkFixture, CountersTrack) {
   const NodeId a = add(0);
   const NodeId b = add(0);
-  net_.send(a, b, 1, 128);
+  test::send_tagged(net_, a, b, 1, 128);
   sim_.run_for(msec(10));
   EXPECT_EQ(net_.messages_sent(), 1u);
   EXPECT_EQ(net_.messages_delivered(), 1u);
   EXPECT_EQ(net_.bytes_sent(), 128u);
+}
+
+TEST_F(NetworkFixture, CodecLessPayloadIsRefused) {
+  const NodeId a = add(0);
+  const NodeId b = add(0);
+  EXPECT_THROW(net_.send(a, b, std::any(7), 10), CheckFailure);
+  EXPECT_THROW(net_.send(a, b, std::any(std::string("hi")), 10), CheckFailure);
+  sim_.run_for(msec(10));
+  EXPECT_TRUE(received_[1].empty());
+  EXPECT_EQ(net_.messages_sent(), 0u);
+}
+
+TEST_F(NetworkFixture, DeliveredPayloadIsTheDecodeOfItsFrame) {
+  const NodeId a = add(0);
+  const NodeId b = add(0);
+  test::send_tagged(net_, a, b, 9, 200);
+  sim_.run_for(msec(10));
+  ASSERT_EQ(received_[1].size(), 1u);
+  const net::Packet& p = received_[1][0];
+  ASSERT_TRUE(p.wire.valid());
+  EXPECT_EQ(p.wire.size(), p.bytes);
+  const auto back = net::codec_registry()
+                        .find(net::Family::kHarness)
+                        ->decode(net::view(p.wire));
+  EXPECT_TRUE(*std::any_cast<harness::Message>(&back) ==
+              *net::payload_as<harness::Message>(p));
+}
+
+TEST_F(NetworkFixture, DuplicateCarriesItsOwnFrame) {
+  const NodeId a = add(0);
+  const NodeId b = add(0);
+  net_.faults().set_duplicate_rate(1.0);
+  test::send_tagged(net_, a, b, 5, 300);
+  sim_.run_for(msec(10));
+  ASSERT_EQ(received_[1].size(), 2u);
+  const net::Packet& x = received_[1][0];
+  const net::Packet& y = received_[1][1];
+  ASSERT_TRUE(x.wire.valid());
+  ASSERT_TRUE(y.wire.valid());
+  EXPECT_NE(x.wire.data(), y.wire.data());  // two slabs, not one shared
+  ASSERT_EQ(x.wire.size(), y.wire.size());
+  EXPECT_TRUE(std::equal(x.wire.data(), x.wire.data() + x.wire.size(),
+                         y.wire.data()));
+  const auto& codec = *net::codec_registry().find(net::Family::kHarness);
+  const auto dx = codec.decode(net::view(x.wire));
+  const auto dy = codec.decode(net::view(y.wire));
+  EXPECT_TRUE(*std::any_cast<harness::Message>(&dx) ==
+              *std::any_cast<harness::Message>(&dy));
+  EXPECT_TRUE(*net::payload_as<harness::Message>(x) ==
+              *net::payload_as<harness::Message>(y));
+  EXPECT_EQ(test::tag_of(y), 5u);
 }
 
 }  // namespace

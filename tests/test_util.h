@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -105,6 +106,28 @@ inline kv::WorkloadConfig small_workload() {
   wl.conflict_rate = 0.1;
   wl.num_records = 1000;
   return wl;
+}
+
+/// Simulator tests send one stand-in payload through sim::Network: a
+/// ClientRequest whose `cmd.seq` carries `tag` and whose modeled put value
+/// pads the frame to `bytes` (raised to the smallest request frame, 41 B).
+inline void send_tagged(sim::Network& net, NodeId from, NodeId to,
+                        uint64_t tag, size_t bytes) {
+  harness::ClientRequest req;
+  req.cmd.op = kv::Op::kPut;
+  req.cmd.value_size = 0;
+  req.cmd.seq = tag;
+  const size_t smallest = harness::wire_size(req);
+  req.cmd.value_size =
+      static_cast<uint32_t>(std::max(bytes, smallest) - smallest);
+  net.send(from, to, harness::Message{req}, harness::wire_size(req));
+}
+
+/// The tag a send_tagged() packet carries.
+inline uint64_t tag_of(const net::Packet& p) {
+  const auto* m = net::payload_as<harness::Message>(p);
+  PRAFT_CHECK(m != nullptr);
+  return std::get<harness::ClientRequest>(*m).cmd.seq;
 }
 
 /// Sends one command at a time and captures the reply (for scripted

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <cstdlib>
 #include <vector>
 
-#include "chaos/runner.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "consensus/batcher.h"
@@ -87,7 +85,9 @@ void expect_roundtrip(const Msg& m, Enc enc, Dec dec, net::BufferPool& pool) {
   ASSERT_NE(codec, nullptr);
   const net::Frame rf = codec->encode(std::any(m), pool);
   ASSERT_EQ(rf.size(), claimed);
-  EXPECT_TRUE(codec->equals(std::any(m), codec->decode(net::view(rf))));
+  const std::any decoded = codec->decode(net::view(rf));
+  ASSERT_NE(std::any_cast<Msg>(&decoded), nullptr);
+  EXPECT_TRUE(*std::any_cast<Msg>(&decoded) == m);
 }
 
 TEST(WireRoundTrip, Raft) {
@@ -475,27 +475,6 @@ TEST(Batcher, DeposedRaftLeaderFlushIsInert) {
                 !std::holds_alternative<raft::AppendEntries>(*m))
         << "stale flush replicated after deposition";
   }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: a chaos run with PRAFT_WIRE_VERIFY on round-trips every frame
-// the simulated network carries and cross-checks it against the original
-// struct. Any drift between wire_size(), encode(), and decode() aborts.
-// ---------------------------------------------------------------------------
-
-TEST(WireVerify, ChaosSmokeAllProtocols) {
-  const bool prev = net::wire_verify_enabled();
-  net::set_wire_verify(true);
-  for (const char* protocol : {"raft", "raftstar", "multipaxos", "mencius"}) {
-    chaos::RunOptions opt;
-    opt.protocol = protocol;
-    opt.seed = 3;
-    const chaos::RunResult res = chaos::run_one(opt);
-    EXPECT_TRUE(res.ok) << protocol << ": "
-                        << (res.violations.empty() ? "?" : res.violations[0]);
-    EXPECT_GT(res.client_ops, 0u);
-  }
-  net::set_wire_verify(prev);
 }
 
 }  // namespace
