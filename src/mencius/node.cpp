@@ -661,11 +661,13 @@ void MenciusNode::on_status(const StatusBeat& m) {
   // A peer's slot consumption drags our unused turns forward even when we
   // never see its accepts directly (e.g. they raced past us).
   note_owner_watermark(m.from, m.decided_floor, m.rev_floor);
-  // Slots below the peer's decided floor certainly exist, even if we missed
-  // every accept for them (e.g. we were crashed): without this a replica
-  // that slept through the tail of the log never notices it is stalled and
-  // never asks to learn it.
-  max_seen_ = std::max(max_seen_, m.decided_floor - 1);
+  // The peer's highest decided own slot certainly exists, even if we missed
+  // every accept for it (e.g. we were crashed): without this a replica that
+  // slept through the tail of the log never notices it is stalled and never
+  // asks to learn it. decided_floor - 1 would be another owner's slot that
+  // may never be used, so an idle group would look stalled and ask, on every
+  // heartbeat, for slots nobody can teach.
+  max_seen_ = std::max(max_seen_, m.decided_floor - n_);
   advance_floors();
 }
 

@@ -115,15 +115,15 @@ TEST(ChaosRunnerTest, FingerprintsPinned) {
     uint64_t fingerprint;
   };
   const Pin pins[] = {
-      {"mencius", 0, 0xb82030d2625bead7ull},
+      {"mencius", 0, 0x573798b0e97a936cull},
       {"multipaxos", 0, 0x8fe178a29f5eb1ecull},
       {"raft", 0, 0x8c27a1cdb135be6aull},
       {"raftstar", 0, 0x774d06f9e3cedc0cull},
-      {"mencius", 1, 0xd3dc11520fc9b57aull},
+      {"mencius", 1, 0x6a11373a13c78926ull},
       {"multipaxos", 1, 0xe6d07f7fc27890d4ull},
       {"raft", 1, 0x9a72315ebb602079ull},
       {"raftstar", 1, 0xa62e8ee7a9b9aa72ull},
-      {"mencius", 2, 0x9783a7e467ec60e8ull},
+      {"mencius", 2, 0x0eb72a8e3e53ce57ull},
       {"multipaxos", 2, 0xea2c1a07b83d3a6aull},
       {"raft", 2, 0x58411070a42aae7dull},
       {"raftstar", 2, 0x10e1d5e84a4880edull},

@@ -376,6 +376,30 @@ TEST(MenciusUnitTest, NothingAtOrAboveInfoFloorIsAcked) {
   EXPECT_TRUE(acked[1] == second);
 }
 
+TEST(MenciusUnitTest, IdleGroupSendsNoLearnReq) {
+  // Every owner sits at its first unused turn: nothing is stalled, so the
+  // maintenance loop must not ask anyone to teach slot 0 or its neighbours.
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
+  n.start();
+  int beats = 0;
+  int learn_reqs = 0;
+  for (int tick = 0; tick < 40; ++tick) {  // 2 s of heartbeats
+    deliver(n, 11, status_beat(11, 1, -1));
+    deliver(n, 12, status_beat(12, 2, -1));
+    env.advance(unit_options().heartbeat_interval);
+    for (const auto& sent : env.outbox) {
+      const auto* m = std::any_cast<mencius::Message>(&sent.payload);
+      if (m == nullptr) continue;
+      beats += std::holds_alternative<mencius::StatusBeat>(*m) ? 1 : 0;
+      learn_reqs += std::holds_alternative<mencius::LearnReq>(*m) ? 1 : 0;
+    }
+    env.clear();
+  }
+  EXPECT_GT(beats, 0);
+  EXPECT_EQ(learn_reqs, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-level tests.
 // ---------------------------------------------------------------------------
