@@ -311,26 +311,11 @@ TEST_F(NetworkFixture, CodecLessPayloadIsRefused) {
   const NodeId a = add(0);
   const NodeId b = add(0);
   EXPECT_THROW(net_.send(a, b, std::any(7), 10), CheckFailure);
-  EXPECT_THROW(net_.send(a, b, std::any(std::string("hi")), 10), CheckFailure);
+  EXPECT_THROW(net_.send(a, b, std::any(std::string("hi")), 10),
+               CheckFailure);
   sim_.run_for(msec(10));
   EXPECT_TRUE(received_[1].empty());
   EXPECT_EQ(net_.messages_sent(), 0u);
-}
-
-TEST_F(NetworkFixture, DeliveredPayloadIsTheDecodeOfItsFrame) {
-  const NodeId a = add(0);
-  const NodeId b = add(0);
-  test::send_tagged(net_, a, b, 9, 200);
-  sim_.run_for(msec(10));
-  ASSERT_EQ(received_[1].size(), 1u);
-  const net::Packet& p = received_[1][0];
-  ASSERT_TRUE(p.wire.valid());
-  EXPECT_EQ(p.wire.size(), p.bytes);
-  const auto back = net::codec_registry()
-                        .find(net::Family::kHarness)
-                        ->decode(net::view(p.wire));
-  EXPECT_TRUE(*std::any_cast<harness::Message>(&back) ==
-              *net::payload_as<harness::Message>(p));
 }
 
 TEST_F(NetworkFixture, DuplicateCarriesItsOwnFrame) {
@@ -345,16 +330,11 @@ TEST_F(NetworkFixture, DuplicateCarriesItsOwnFrame) {
   ASSERT_TRUE(x.wire.valid());
   ASSERT_TRUE(y.wire.valid());
   EXPECT_NE(x.wire.data(), y.wire.data());  // two slabs, not one shared
-  ASSERT_EQ(x.wire.size(), y.wire.size());
-  EXPECT_TRUE(std::equal(x.wire.data(), x.wire.data() + x.wire.size(),
-                         y.wire.data()));
-  const auto& codec = *net::codec_registry().find(net::Family::kHarness);
-  const auto dx = codec.decode(net::view(x.wire));
-  const auto dy = codec.decode(net::view(y.wire));
-  EXPECT_TRUE(*std::any_cast<harness::Message>(&dx) ==
-              *std::any_cast<harness::Message>(&dy));
-  EXPECT_TRUE(*net::payload_as<harness::Message>(x) ==
-              *net::payload_as<harness::Message>(y));
+  const std::any back = net::codec_registry()
+                            .find(net::Family::kHarness)
+                            ->decode(net::view(y.wire));
+  EXPECT_TRUE(*std::any_cast<harness::Message>(&back) ==
+              *net::payload_as<harness::Message>(x));
   EXPECT_EQ(test::tag_of(y), 5u);
 }
 
