@@ -475,26 +475,6 @@ Schedule splice_schedules(const Schedule& a, const Schedule& b, Rng& rng,
 
 namespace {
 
-/// The flags a candidate runs under: its own, or the batch-wide template.
-const RunOptions& flags_of(const EvolveCandidate& c, const RunOptions& base) {
-  return c.flags.has_value() ? *c.flags : base;
-}
-
-/// The per-run flags a corpus entry can override, as a dedup identity.
-std::string flags_key(const RunOptions& o) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%d %d %zu %d %d %d %d", o.num_replicas,
-                o.groups, o.compaction_log_cap, o.inject_quorum_bug ? 1 : 0,
-                o.crash_restarts ? 1 : 0, o.inject_persistence_bug ? 1 : 0,
-                o.wan ? 1 : 0);
-  return buf;
-}
-
-std::string candidate_key(const EvolveCandidate& c, const RunOptions& base) {
-  return c.protocol + ' ' + flags_key(flags_of(c, base)) + '\n' +
-         serialize_schedule(c.schedule);
-}
-
 /// Top-k selection stratified by protocol: round-robin over each protocol's
 /// own score-desc ranking (protocols ordered by their best candidate).
 /// Raw coverage scores are not comparable across protocols — Mencius
@@ -508,9 +488,9 @@ std::vector<size_t> select_population(
   std::vector<std::vector<size_t>> groups;
   for (size_t i = 0; i < archive.size(); ++i) {
     size_t g = 0;
-    while (g < order.size() && order[g] != archive[i].protocol) ++g;
+    while (g < order.size() && order[g] != archive[i].run.protocol) ++g;
     if (g == order.size()) {
-      order.push_back(archive[i].protocol);
+      order.push_back(archive[i].run.protocol);
       groups.emplace_back();
     }
     groups[g].push_back(i);
@@ -535,6 +515,12 @@ double mean_of(const std::vector<EvolveCandidate>& archive,
 
 }  // namespace
 
+std::string run_key(const RunOptions& run) {
+  return run.protocol + run_flags(run) + '\n' +
+         (run.schedule.has_value() ? serialize_schedule(*run.schedule)
+                                   : "seed=" + std::to_string(run.seed));
+}
+
 EvolveStats evolve(const EvolveOptions& opt,
                    std::vector<EvolveCandidate> seeds) {
   PRAFT_CHECK(opt.generations >= 1);
@@ -552,11 +538,10 @@ EvolveStats evolve(const EvolveOptions& opt,
   std::set<std::string> seen;
 
   const auto evaluate = [&](EvolveCandidate cand) {
-    RunOptions run = flags_of(cand, opt.base);
-    run.protocol = cand.protocol;
-    run.schedule = cand.schedule;
-    run.seed = cand.schedule.seed;
-    const RunResult r = run_one(run);
+    if (!cand.run.schedule.has_value()) {
+      cand.run.schedule = schedule_of(cand.run);
+    }
+    const RunResult r = run_one(cand.run);
     ++stats.runs;
     if (!r.ok) {
       stats.failures.push_back(r);
@@ -564,7 +549,7 @@ EvolveStats evolve(const EvolveOptions& opt,
       return;
     }
     cand.score = coverage_score(r);
-    if (seen.insert(candidate_key(cand, opt.base)).second) {
+    if (seen.insert(run_key(cand.run)).second) {
       archive.push_back(std::move(cand));
     }
   };
@@ -580,9 +565,9 @@ EvolveStats evolve(const EvolveOptions& opt,
   // schedules up to the population size.
   for (EvolveCandidate& seed : seeds) evaluate(std::move(seed));
   for (size_t i = seeds.size(); i < population; ++i) {
-    EvolveCandidate cand;
-    cand.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
-    cand.schedule = generate_schedule(rng.next(), limits);
+    EvolveCandidate cand{opt.base};
+    cand.run.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
+    cand.run.schedule = generate_schedule(rng.next(), limits);
     evaluate(std::move(cand));
   }
   resort();
@@ -596,11 +581,8 @@ EvolveStats evolve(const EvolveOptions& opt,
     for (size_t k = 0; k < offspring; ++k) {
       const size_t pi = elites[pick_index(rng, elites.size())];
       const EvolveCandidate& parent = archive[pi];
-      EvolveCandidate child;
-      child.protocol = parent.protocol;
-      child.flags = parent.flags;
-      const RunOptions& flags = flags_of(parent, opt.base);
-      const ScheduleLimits child_limits = effective_limits(flags);
+      EvolveCandidate child{parent.run};
+      const ScheduleLimits child_limits = effective_limits(parent.run);
       // Splice only within one flag set: a mate with another replica count
       // would hand the child fault targets outside its world.
       const EvolveCandidate* mate = nullptr;
@@ -608,19 +590,18 @@ EvolveStats evolve(const EvolveOptions& opt,
         size_t qi = pick_index(rng, elites.size() - 1);
         if (elites[qi] == pi) ++qi;
         mate = &archive[elites[qi]];
-        if (flags_key(flags_of(*mate, opt.base)) != flags_key(flags)) {
-          mate = nullptr;
-        }
+        if (run_flags(mate->run) != run_flags(parent.run)) mate = nullptr;
       }
-      child.schedule =
+      child.run.schedule =
           mate != nullptr
-              ? splice_schedules(parent.schedule, mate->schedule, rng,
-                                 child_limits)
-              : mutate_schedule(parent.schedule, rng, child_limits);
+              ? splice_schedules(*parent.run.schedule, *mate->run.schedule,
+                                 rng, child_limits)
+              : mutate_schedule(*parent.run.schedule, rng, child_limits);
       // Rare cross-protocol hop: the paper's parallelism claim says a rare
       // interleaving found under one protocol stresses the others too.
       if (opt.protocols.size() >= 2 && rng.chance(0.15)) {
-        child.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
+        child.run.protocol =
+            opt.protocols[pick_index(rng, opt.protocols.size())];
       }
       evaluate(std::move(child));
     }

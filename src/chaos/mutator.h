@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,14 +91,15 @@ enum class MutationOp {
 // ---------------------------------------------------------------------------
 
 struct EvolveCandidate {
-  std::string protocol;
-  Schedule schedule;
+  /// Protocol, flags and schedule. A seed-expanded run (no `run.schedule`)
+  /// is expanded by evolve; offspring inherit their parent's flags.
+  RunOptions run;
   uint64_t score = 0;  // coverage_score of its run (filled by evolve)
-  /// Flag/limit template this candidate runs under, when it differs from
-  /// EvolveOptions::base (a replayed corpus entry with its own flags);
-  /// protocol/seed/schedule fields are ignored. Offspring inherit it.
-  std::optional<RunOptions> flags;
 };
+
+/// A run's identity for corpus dedup: protocol, run_flags, and the explicit
+/// schedule's text (the seed, for a seed-expanded run).
+[[nodiscard]] std::string run_key(const RunOptions& run);
 
 struct EvolveOptions {
   int generations = 4;
@@ -116,17 +116,15 @@ struct EvolveOptions {
   /// the paper's parallelism means a rare interleaving found under one
   /// protocol is worth trying on the others).
   std::vector<std::string> protocols{"raft"};
-  /// Flag/limit template every run executes under unless the candidate
-  /// carries its own (protocol/seed/schedule fields are overridden per
-  /// candidate).
+  /// Flag/limit template of every fresh random candidate (protocol, seed
+  /// and schedule are drawn per candidate); seeded candidates keep their own.
   RunOptions base;
 };
 
 struct EvolveStats {
   uint64_t runs = 0;  // total run_one invocations (the comparison budget)
   /// Top-`population` candidates ever seen (the elite archive), score-desc,
-  /// deduped by (protocol, serialized schedule). This is what --corpus-out
-  /// persists.
+  /// deduped by run_key. This is what --corpus-out persists.
   std::vector<EvolveCandidate> population;
   /// Mean/best coverage score of `population`.
   double mean_score = 0.0;
@@ -136,8 +134,8 @@ struct EvolveStats {
   std::vector<double> generation_mean;
   /// Invariant-violating runs encountered while evolving (an evolved
   /// schedule that breaks a protocol is a find, not a breeding candidate).
-  /// `failed_candidates[i]` is the exact (protocol, schedule) that produced
-  /// `failures[i]` — what --failures-out persists for replay.
+  /// `failed_candidates[i]` is the exact run that produced `failures[i]` —
+  /// what --failures-out persists for replay.
   std::vector<RunResult> failures;
   std::vector<EvolveCandidate> failed_candidates;
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/invariants.h"
@@ -16,6 +18,10 @@ namespace praft::chaos {
 namespace {
 
 using Checkers = std::vector<std::unique_ptr<InvariantChecker>>;
+
+/// Fault-free tail after the last fault window: clients drain, replicas
+/// re-converge, then invariants are finalized.
+constexpr Duration kQuiesce = sec(10);
 
 /// Fault context into every group's trace: a machine fault concerns all of
 /// them.
@@ -132,10 +138,65 @@ void arm_event(const FaultEvent& e, harness::Cluster& cluster, Checkers& chks) {
   }
 }
 
+/// Calls `f(text, field, min)` for every run flag, in the order run_flags
+/// writes them (saved corpus and failure files use it). `field` points into
+/// RunOptions; `min` is the smallest value a numeric flag accepts.
+template <typename F>
+void for_each_run_flag(F&& f) {
+  f("--compaction-cap", &RunOptions::compaction_log_cap, 0);
+  f("--restarts", &RunOptions::crash_restarts, 0);
+  f("--inject-quorum-bug", &RunOptions::inject_quorum_bug, 0);
+  f("--inject-persistence-bug", &RunOptions::inject_persistence_bug, 0);
+  f("--wan", &RunOptions::wan, 0);
+  f("--groups", &RunOptions::groups, 1);
+  f("--replicas", &RunOptions::num_replicas, 2);
+}
+
 }  // namespace
 
+std::string run_flags(const RunOptions& opt) {
+  static const RunOptions kDefaults;
+  std::string out;
+  for_each_run_flag([&](const char* text, auto field, long) {
+    if (opt.*field == kDefaults.*field) return;
+    out += std::string(" ") + text;
+    if constexpr (!std::is_same_v<decltype(field), bool RunOptions::*>) {
+      out += '=' + std::to_string(opt.*field);
+    }
+  });
+  return out;
+}
+
+bool apply_run_flag(const std::string& token, RunOptions* opt,
+                    std::string* error) {
+  const size_t eq = token.find('=');
+  const char* value = eq == std::string::npos ? nullptr : &token[eq + 1];
+  bool known = false;
+  bool ok = false;
+  for_each_run_flag([&](const char* text, auto field, long min) {
+    if (token.compare(0, eq, text) != 0) return;
+    known = true;
+    using T = std::remove_reference_t<decltype(opt->*field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      ok = value == nullptr;
+      if (ok) opt->*field = true;
+    } else {
+      char* end = nullptr;
+      const long v = value != nullptr ? std::strtol(value, &end, 10) : 0;
+      ok = value != nullptr && end != value && *end == '\0' && v >= min &&
+           v <= INT32_MAX;
+      if (ok) opt->*field = static_cast<T>(v);
+    }
+  });
+  if (!ok) {
+    *error = (known ? "bad value in run flag '" : "unknown flag '") + token +
+             "'";
+  }
+  return ok;
+}
+
 ScheduleLimits effective_limits(const RunOptions& opt) {
-  ScheduleLimits limits = opt.limits;
+  ScheduleLimits limits;
   limits.num_replicas = opt.num_replicas;
   if (opt.crash_restarts || opt.inject_persistence_bug) {
     limits.crash_restart = true;
@@ -181,35 +242,12 @@ RunResult run_one(const RunOptions& opt) {
   for (const FaultEvent& e : sched.events) {
     faults_end = std::max(faults_end, e.to);
   }
-  if (opt.schedule.has_value()) {
-    res.repro = "chaos_runner --seed-file=<corpus> replaying this run's "
-                "schedule block (evolved schedules are not seed-expressible; "
-                "--failures-out saves the block)";
-  } else {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "chaos_runner --protocol=%s --seed=%llu%s",
-                  opt.protocol.c_str(),
-                  static_cast<unsigned long long>(opt.seed),
-                  opt.inject_quorum_bug ? " --inject-quorum-bug" : "");
-    res.repro = buf;
-    if (opt.compaction_log_cap > 0) {
-      std::snprintf(buf, sizeof(buf), " --compaction-cap=%zu",
-                    opt.compaction_log_cap);
-      res.repro += buf;
-    }
-    if (opt.crash_restarts) res.repro += " --restarts";
-    if (opt.inject_persistence_bug) res.repro += " --inject-persistence-bug";
-    if (opt.wan) res.repro += " --wan";
-    if (opt.groups > 1) {
-      std::snprintf(buf, sizeof(buf), " --groups=%d", opt.groups);
-      res.repro += buf;
-    }
-    if (opt.num_replicas != RunOptions{}.num_replicas) {
-      std::snprintf(buf, sizeof(buf), " --replicas=%d", opt.num_replicas);
-      res.repro += buf;
-    }
-  }
+  res.repro = opt.schedule.has_value()
+                  ? "chaos_runner --seed-file=<corpus> replaying this run's "
+                    "schedule block (evolved schedules are not "
+                    "seed-expressible; --failures-out saves the block)"
+                  : "chaos_runner --protocol=" + opt.protocol + " --seed=" +
+                        std::to_string(opt.seed) + run_flags(opt);
   const bool durability_armed =
       opt.crash_restarts || opt.inject_persistence_bug;
   const bool sharded = opt.groups > 1;
@@ -282,7 +320,7 @@ RunResult run_one(const RunOptions& opt) {
     // Bounded memory: sample each replica's compactable tail between events
     // throughout the run (the trigger runs synchronously on apply paths, so
     // the cap must hold whenever the simulator is between handlers).
-    const Time end = faults_end + sec(1) + opt.quiesce;
+    const Time end = faults_end + sec(1) + kQuiesce;
     for (auto& chk : chks) chk->set_memory_cap(opt.compaction_log_cap);
     for (Time t = msec(500); t < end; t += msec(500)) {
       cluster.sim().at(t, [&cluster, &chks] {
@@ -299,7 +337,7 @@ RunResult run_one(const RunOptions& opt) {
   if (!cluster.server(0).leaderless()) {
     auto last = std::make_shared<std::vector<int>>(
         static_cast<size_t>(cluster.num_groups()), -1);
-    const Time end = faults_end + sec(1) + opt.quiesce;
+    const Time end = faults_end + sec(1) + kQuiesce;
     for (Time t = msec(100); t < end; t += msec(100)) {
       cluster.sim().at(t, [&cluster, &leader_changes, last] {
         for (int g = 0; g < cluster.num_groups(); ++g) {
@@ -342,7 +380,7 @@ RunResult run_one(const RunOptions& opt) {
   cluster.run_until(faults_end + sec(1));
   note_all(chks, "faults over; draining clients");
   cluster.stop_clients();
-  cluster.run_for(opt.quiesce);
+  cluster.run_for(kQuiesce);
 
   res.ok = xchk.ok();
   for (int g = 0; g < cluster.num_groups(); ++g) {

@@ -53,16 +53,24 @@ struct RunOptions {
   /// in flight per peer — the replication-pipelining stress profile. Off:
   /// the LAN-ish timing that keeps one run in milliseconds of wall clock.
   bool wan = false;
-  ScheduleLimits limits;
-  /// Fault-free tail after the last fault window: clients drain, replicas
-  /// re-converge, then invariants are finalized.
-  Duration quiesce = sec(10);
   /// When set, runs this exact schedule instead of expanding `seed` through
   /// generate_schedule — the evolved-corpus path, where a mutated schedule
   /// is no longer expressible as a seed. The schedule's own `seed` field
   /// seeds the cluster RNG (for seed-expanded runs the two are equal).
   std::optional<Schedule> schedule;
 };
+
+/// The run-flag codec: the one text form of the RunOptions fields above,
+/// protocol, seed, fsync and schedule aside. chaos_runner's argv, seed-file
+/// lines, corpus schedule headers and RunResult::repro all use it.
+/// run_flags writes " --flag[=value]..." in a fixed order, each flag only
+/// when it differs from its default ("" for a default run).
+[[nodiscard]] std::string run_flags(const RunOptions& opt);
+
+/// Applies one "--flag[=value]" token to `*opt`. An unknown flag or a bad
+/// value returns false with a message naming the token in `*error`.
+[[nodiscard]] bool apply_run_flag(const std::string& token, RunOptions* opt,
+                                  std::string* error);
 
 struct RunResult {
   bool ok = true;
@@ -87,7 +95,7 @@ struct RunResult {
   uint64_t trace_fingerprint = 0;
 };
 
-/// The ScheduleLimits a RunOptions actually generates under: `opt.limits`
+/// The ScheduleLimits a RunOptions actually generates under: the defaults
 /// with the replica count folded in and the guaranteed-fault knobs implied
 /// by the bug-injection / crash-restart flags armed.
 [[nodiscard]] ScheduleLimits effective_limits(const RunOptions& opt);

@@ -91,8 +91,8 @@ class RaftFamilyNode : public NodeIface {
     heartbeat_.set_handler([this] {
       probe_retransmits();
       broadcast_append();
-      // Interval-leg compaction must also fire on an idle leader (followers
-      // re-evaluate on the commit_to every heartbeat append triggers).
+      // Size-leg compaction must also fire on an idle leader after recovery
+      // (followers re-evaluate on the commit_to every heartbeat triggers).
       maybe_compact(/*force=*/false);
     });
   }
@@ -527,14 +527,13 @@ class RaftFamilyNode : public NodeIface {
     if (recovering_ || !applier_.can_snapshot()) return;
     const LogIndex target = applier_.applied();
     const auto compactable = static_cast<size_t>(target - log_.base_index());
-    if (!compaction_.due(opt_, compactable, env_.now(), force)) return;
+    if (!compaction_due(opt_, compactable, force)) return;
     snap_.last_index = target;
     snap_.last_term = term_at(target);
     snap_.state = applier_.capture_state();
     log_.compact_to(target);
     // Durably: the snapshot substitutes for the WAL prefix it covers.
     persister_.snapshot(snap_);
-    compaction_.fired(env_.now());
     PRAFT_LOG(kDebug) << Msgs::kName << " " << group_.self
                       << " compacted log to " << target;
   }
@@ -601,7 +600,6 @@ class RaftFamilyNode : public NodeIface {
   // (snap_.last_index == log_.base_index() after the first compaction), so
   // any follower behind the base can be served a snapshot.
   Snapshot snap_;
-  CompactionTrigger compaction_;
   int64_t snapshots_installed_ = 0;
 
   // Volatile state.

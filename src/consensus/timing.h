@@ -68,11 +68,6 @@ struct TimingOptions {
   /// max(this, srtt + 4 * rttvar), so links whose acks legitimately slow
   /// down (CPU saturation, long queues) stop probing spuriously.
   Duration pipeline_retransmit_timeout = msec(600);
-  /// Recovery-burst cap: loss-recovery retransmissions (Paxos re-proposes,
-  /// Mencius StatusBeat retransmits) send at most this many entries per
-  /// tick — deliberately smaller than the steady-state packetization cap so
-  /// a healing partition does not flood the wire.
-  size_t max_retransmit_entries = 512;
   /// Log compaction trigger (size leg): when > 0, a node checkpoints the
   /// state machine and discards the applied log prefix as soon as more than
   /// this many applied-but-uncompacted entries are resident. 0 disables
@@ -80,14 +75,6 @@ struct TimingOptions {
   /// the harness adapter); protocols check after every apply advance, so the
   /// retained applied prefix stays <= the cap between events.
   size_t compaction_log_cap = 0;
-  /// Compaction trigger (interval leg): when > 0, also checkpoint whenever
-  /// this much time has passed since the last compaction and anything is
-  /// compactable — bounds staleness of the retained snapshot under light
-  /// load, where the size trigger alone may never fire (the first firing
-  /// comes one interval after node start, then one interval after each
-  /// compaction). Checked on the same apply/heartbeat paths as the size
-  /// leg. 0 disables.
-  Duration compaction_interval = 0;
   /// Modeled fsync duration for the durable store (src/storage): every
   /// write a node makes to its hard state file / write-ahead log becomes
   /// durable only when a sync of this duration completes on the node's disk
@@ -123,29 +110,16 @@ struct TimingOptions {
   }
 };
 
-/// Per-node evaluation state for the compaction policy above: one instance
-/// per protocol node, consulted on every apply advance / maintenance tick so
-/// all four protocols share the exact trigger semantics.
-class CompactionTrigger {
- public:
-  /// True when a compaction should run now. `compactable` is the node's
-  /// applied-but-uncompacted entry count; `force` is the NodeIface::compact
-  /// verb (still requires something to compact).
-  [[nodiscard]] bool due(const TimingOptions& opt, size_t compactable,
-                         Time now, bool force) const {
-    if (compactable == 0) return false;
-    if (force) return true;
-    if (opt.compaction_log_cap > 0 && compactable > opt.compaction_log_cap) {
-      return true;
-    }
-    return opt.compaction_interval > 0 &&
-           now - last_ >= opt.compaction_interval;
-  }
-
-  void fired(Time now) { last_ = now; }
-
- private:
-  Time last_ = 0;
-};
+/// The compaction policy above, shared by all four protocols and consulted
+/// on every apply advance / maintenance tick: true when a compaction should
+/// run now. `compactable` is the node's applied-but-uncompacted entry count;
+/// `force` is the NodeIface::compact verb (still requires something to
+/// compact).
+[[nodiscard]] inline bool compaction_due(const TimingOptions& opt,
+                                         size_t compactable, bool force) {
+  if (compactable == 0) return false;
+  return force ||
+         (opt.compaction_log_cap > 0 && compactable > opt.compaction_log_cap);
+}
 
 }  // namespace praft::consensus

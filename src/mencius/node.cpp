@@ -9,6 +9,10 @@ namespace praft::mencius {
 
 namespace {
 constexpr consensus::Term kDecidedBal = std::numeric_limits<consensus::Term>::max();
+/// Recovery-burst cap: one StatusBeat retransmit carries at most this many
+/// own slots, well under the steady-state packetization cap, so a healing
+/// partition does not flood the wire.
+constexpr size_t kMaxRetransmitEntries = 512;
 }
 
 MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
@@ -350,9 +354,7 @@ size_t MenciusNode::history_above_floor() const {
 
 void MenciusNode::maybe_compact(bool force) {
   if (recovering_ || !applier_.can_snapshot()) return;
-  if (!compaction_.due(opt_, history_above_floor(), env_.now(), force)) {
-    return;
-  }
+  if (!consensus::compaction_due(opt_, history_above_floor(), force)) return;
   // Checkpoint at the applied floor. Unlike the log-structured protocols,
   // Mencius prunes slots at apply time already; what compaction bounds is
   // the decided-value history retained for revocation prepares and learn
@@ -361,16 +363,15 @@ void MenciusNode::maybe_compact(bool force) {
   snap_.last_index = applier_.applied();
   snap_.last_term = 0;
   snap_.state = applier_.capture_state();
-  // Under an interval-only policy (cap == 0) keep a fixed warm tail:
-  // emptying the history entirely would turn every learn/revocation touch
-  // of a recently executed slot into a full snapshot transfer.
-  constexpr size_t kIntervalWarmTail = 1024;
+  // A forced compaction without a cap keeps a fixed warm tail: emptying
+  // the history entirely would turn every learn/revocation touch of a
+  // recently executed slot into a full snapshot transfer.
+  constexpr size_t kUncappedWarmTail = 1024;
   const size_t keep =
       opt_.compaction_log_cap > 0 ? opt_.compaction_log_cap / 2
-                                  : kIntervalWarmTail;
+                                  : kUncappedWarmTail;
   while (decided_history_.size() > keep) decided_history_.pop_front();
   persister_.snapshot(snap_);
-  compaction_.fired(env_.now());
   PRAFT_LOG(kDebug) << "mencius " << group_.self << " checkpointed @"
                     << snap_.last_index;
 }
@@ -1008,7 +1009,7 @@ void MenciusNode::maintenance() {
     retrans.owner = group_.self;
     const LogIndex base = afloor();
     for (LogIndex i = base + ((rank_ - base) % n_ + n_) % n_;
-         i < next_own_ && retrans.items.size() < opt_.max_retransmit_entries;
+         i < next_own_ && retrans.items.size() < kMaxRetransmitEntries;
          i += n_) {
       if (i < from) continue;
       const Slot* s = slot_if(i);

@@ -342,7 +342,6 @@ class MenciusNode : public consensus::NodeIface {
 
   // Latest checkpoint (covers all slots <= snap_.last_index).
   consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
   int64_t snapshots_installed_ = 0;
 
   // Active revocation this node is running (one at a time). One that has

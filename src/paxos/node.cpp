@@ -198,7 +198,7 @@ void PaxosNode::heartbeat_tick() {
     }
     persister_.send(peer, Message{hb}, wire_size(hb));
   }
-  // Interval-leg compaction on an idle leader (apply advances stopped).
+  // Size-leg compaction on an idle leader (e.g. after a recovery).
   maybe_compact(/*force=*/false);
 }
 
@@ -416,13 +416,12 @@ void PaxosNode::maybe_compact(bool force) {
   if (recovering_ || !applier_.can_snapshot()) return;
   const LogIndex target = applier_.applied();
   const auto compactable = static_cast<size_t>(target - instances_.floor());
-  if (!compaction_.due(opt_, compactable, env_.now(), force)) return;
+  if (!consensus::compaction_due(opt_, compactable, force)) return;
   snap_.last_index = target;
   snap_.last_term = 0;  // ballot-numbered protocol: no prev-term checks
   snap_.state = applier_.capture_state();
   instances_.set_floor(target);
   persister_.snapshot(snap_);
-  compaction_.fired(env_.now());
   PRAFT_LOG(kDebug) << "paxos " << group_.self
                     << " compacted instances to " << target;
 }
@@ -517,8 +516,8 @@ void PaxosNode::on_heartbeat(const Heartbeat& m) {
   if (m.commit_floor > commit_floor()) {
     sync_to_floor(m.bal, m.commit_floor);
   } else {
-    // Already caught up: still give the interval-leg compaction its tick
-    // (an idle follower otherwise never re-evaluates the trigger).
+    // Already caught up: still give the size-leg compaction its tick (an
+    // idle follower otherwise never re-evaluates the trigger).
     maybe_compact(/*force=*/false);
   }
 }

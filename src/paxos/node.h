@@ -188,7 +188,6 @@ class PaxosNode : public consensus::NodeIface {
   // Latest checkpoint: covers exactly the pruned instances (snap_.last_index
   // == instances_.floor() after the first compaction).
   consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
   int64_t snapshots_installed_ = 0;
 
   // Shared runtime machinery.

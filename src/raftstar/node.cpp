@@ -232,7 +232,7 @@ void RaftStarNode::advance_commit() {
     allowed = next;
   }
   // Every evaluation reaches commit_to, even without progress: its
-  // maybe_compact re-checks the interval compaction leg.
+  // maybe_compact re-checks the size compaction leg.
   commit_to(allowed);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,90 @@ TEST(ChaosRunnerTest, ReproCarriesReplicaCount) {
   EXPECT_NE(run_one(opt).repro.find(" --replicas=3"), std::string::npos);
   opt.num_replicas = 5;  // the default stays implicit
   EXPECT_EQ(run_one(opt).repro.find("--replicas"), std::string::npos);
+}
+
+/// Applies every whitespace-separated token of `flags` to a default run.
+RunOptions parse_flags(const std::string& flags) {
+  RunOptions out;
+  std::istringstream in(flags);
+  for (std::string token; in >> token;) {
+    std::string error;
+    EXPECT_TRUE(apply_run_flag(token, &out, &error)) << error;
+  }
+  return out;
+}
+
+void expect_same_flags(const RunOptions& a, const RunOptions& b) {
+  EXPECT_EQ(a.num_replicas, b.num_replicas);
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.compaction_log_cap, b.compaction_log_cap);
+  EXPECT_EQ(a.crash_restarts, b.crash_restarts);
+  EXPECT_EQ(a.inject_quorum_bug, b.inject_quorum_bug);
+  EXPECT_EQ(a.inject_persistence_bug, b.inject_persistence_bug);
+  EXPECT_EQ(a.wan, b.wan);
+}
+
+TEST(RunFlagsTest, EveryFlagRoundTrips) {
+  EXPECT_EQ(run_flags(RunOptions{}), "");
+  RunOptions all;
+  all.num_replicas = 7;
+  all.groups = 3;
+  all.compaction_log_cap = 64;
+  all.crash_restarts = true;
+  all.inject_quorum_bug = true;
+  all.inject_persistence_bug = true;
+  all.wan = true;
+  // The order saved corpus and failure files use.
+  EXPECT_EQ(run_flags(all),
+            " --compaction-cap=64 --restarts --inject-quorum-bug "
+            "--inject-persistence-bug --wan --groups=3 --replicas=7");
+  expect_same_flags(parse_flags(run_flags(all)), all);
+
+  // Each flag alone, including a non-default replica count below the
+  // default.
+  RunOptions one;
+  one.num_replicas = 3;
+  EXPECT_EQ(run_flags(one), " --replicas=3");
+  expect_same_flags(parse_flags(run_flags(one)), one);
+  const std::vector<bool RunOptions::*> bools = {
+      &RunOptions::crash_restarts, &RunOptions::inject_quorum_bug,
+      &RunOptions::inject_persistence_bug, &RunOptions::wan};
+  for (bool RunOptions::*field : bools) {
+    RunOptions b;
+    b.*field = true;
+    expect_same_flags(parse_flags(run_flags(b)), b);
+  }
+}
+
+TEST(RunFlagsTest, RejectsBadTokensNamingThem) {
+  for (const std::string token :
+       {"--groups=0", "--replicas=1", "--compaction-cap=abc",
+        "--compaction-cap=-1", "--groups", "--wan=1", "--no-such-flag"}) {
+    RunOptions opt;
+    std::string error;
+    EXPECT_FALSE(apply_run_flag(token, &opt, &error)) << token;
+    EXPECT_NE(error.find("'" + token + "'"), std::string::npos)
+        << token << ": " << error;
+    expect_same_flags(opt, RunOptions{});  // a rejected token changes nothing
+  }
+}
+
+TEST(RunFlagsTest, ReproFlagsReplayTheSameRun) {
+  RunOptions opt;
+  opt.protocol = "raftstar";
+  opt.seed = 4;
+  opt.num_replicas = 3;
+  opt.crash_restarts = true;
+  opt.compaction_log_cap = 32;
+  const RunResult r = run_one(opt);
+  const std::string prefix = "chaos_runner --protocol=raftstar --seed=4";
+  ASSERT_EQ(r.repro.rfind(prefix, 0), 0u) << r.repro;
+
+  RunOptions replay = parse_flags(r.repro.substr(prefix.size()));
+  replay.protocol = "raftstar";
+  replay.seed = 4;
+  expect_same_flags(replay, opt);
+  EXPECT_EQ(run_one(replay).trace_fingerprint, r.trace_fingerprint);
 }
 
 TEST(ChaosRunnerTest, FingerprintsPinned) {

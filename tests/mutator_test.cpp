@@ -294,8 +294,8 @@ TEST(EvolveTest, DeterministicAndBeatsRandomBaselineOnEqualBudget) {
   EXPECT_EQ(evolved.mean_score, again.mean_score);
   ASSERT_EQ(evolved.population.size(), again.population.size());
   for (size_t i = 0; i < evolved.population.size(); ++i) {
-    EXPECT_EQ(serialize_schedule(evolved.population[i].schedule),
-              serialize_schedule(again.population[i].schedule));
+    EXPECT_EQ(run_key(evolved.population[i].run),
+              run_key(again.population[i].run));
   }
 
   // Equal-budget baseline: the same number of pure random-seed runs, keeping
@@ -332,11 +332,8 @@ TEST(EvolveTest, SeededCorpusEntersTheInitialPopulation) {
   eopt.protocols = {"raft"};
   eopt.base.protocol = "raft";
 
-  EvolveCandidate seed_cand;
-  seed_cand.protocol = "raft";
-  RunOptions seed_opt = eopt.base;
-  seed_opt.seed = 42;
-  seed_cand.schedule = schedule_of(seed_opt);
+  EvolveCandidate seed_cand{eopt.base};
+  seed_cand.run.seed = 42;
 
   const EvolveStats stats = evolve(eopt, {seed_cand});
   EXPECT_EQ(stats.runs, 4u + 3u);
@@ -364,17 +361,14 @@ TEST(EvolveTest, SeedEntryFlagsRideThroughEvolution) {
   buggy.num_replicas = 3;
   buggy.inject_quorum_bug = true;
   ASSERT_FALSE(run_one(buggy).ok);
-  EvolveCandidate seed_cand;
-  seed_cand.protocol = "raft";
-  seed_cand.schedule = schedule_of(buggy);
-  seed_cand.flags = buggy;
-
-  const EvolveStats stats = evolve(eopt, {seed_cand});
+  const EvolveStats stats = evolve(eopt, {EvolveCandidate{buggy}});
   ASSERT_FALSE(stats.failed_candidates.empty());
-  const EvolveCandidate& failed = stats.failed_candidates.front();
-  ASSERT_TRUE(failed.flags.has_value());
-  EXPECT_TRUE(failed.flags->inject_quorum_bug);
-  EXPECT_EQ(failed.flags->num_replicas, 3);
+  const RunOptions& failed = stats.failed_candidates.front().run;
+  ASSERT_TRUE(failed.schedule.has_value());
+  EXPECT_EQ(serialize_schedule(*failed.schedule),
+            serialize_schedule(schedule_of(buggy)));
+  EXPECT_TRUE(failed.inject_quorum_bug);
+  EXPECT_EQ(failed.num_replicas, 3);
 
   // Passing flagged entries (as many as the population, so no fresh
   // candidate joins) enter the archive with their flags, and the offspring
@@ -385,11 +379,7 @@ TEST(EvolveTest, SeedEntryFlagsRideThroughEvolution) {
     small.protocol = "raft";
     small.seed = seed;
     small.num_replicas = 3;
-    EvolveCandidate c;
-    c.protocol = "raft";
-    c.schedule = schedule_of(small);
-    c.flags = small;
-    small_seeds.push_back(c);
+    small_seeds.push_back(EvolveCandidate{small});
   }
   eopt.population = 2;
   eopt.elite = 1;
@@ -399,8 +389,7 @@ TEST(EvolveTest, SeedEntryFlagsRideThroughEvolution) {
   EXPECT_TRUE(kept.failures.empty());
   ASSERT_FALSE(kept.population.empty());
   for (const EvolveCandidate& c : kept.population) {
-    ASSERT_TRUE(c.flags.has_value());
-    EXPECT_EQ(c.flags->num_replicas, 3);
+    EXPECT_EQ(c.run.num_replicas, 3);
   }
 }
 

@@ -20,32 +20,36 @@
 // of failing runs, capped at 99 (2 = bad usage, including malformed numeric
 // flag values).
 //
+// Run flags (the RunOptions ones) have one grammar, chaos::run_flags /
+// chaos::apply_run_flag (src/chaos/runner.h), shared by argv, seed-file
+// lines, corpus schedule headers and repro lines.
+//
 // --seed-file replays an explicit list instead of a contiguous range. Two
 // entry forms coexist: one run per line, either "<seed>" (run under
-// --protocol) or "<protocol> <seed>", optionally followed by per-run flags
-// (--compaction-cap=N, --inject-quorum-bug, ...) — and multi-line
-// "schedule <protocol> [flags] { ... }" blocks holding an explicit evolved
-// schedule (see src/chaos/mutator.h for the block grammar). '#' starts a
-// comment. --failures-out and --corpus-out both write this format, so any
-// saved run replays under the exact configuration it was found with.
+// --protocol) or "<protocol> <seed>", optionally followed by run flags that
+// add to the argv ones — and multi-line "schedule <protocol> [flags] { ... }"
+// blocks holding an explicit evolved schedule (see src/chaos/mutator.h for
+// the block grammar). '#' starts a comment. --failures-out and --corpus-out
+// both write this format, so any saved run replays under the exact
+// configuration it was found with.
 //
 // --evolve=N runs the coverage-guided evolution loop instead of a flat
 // batch: the population seeds from --seed-file (if given) plus fresh random
 // schedules, every run is scored with the harness coverage counters (leader
 // changes, revocations, snapshot installs, restarts), and the top scorers
-// are kept/mutated for N generations. All evolved runs execute under the
-// CLI flags (--restarts, --compaction-cap, ...); --corpus-out persists the
-// elite population as schedule blocks.
+// are kept/mutated for N generations. Fresh candidates run under the argv
+// run flags, seed-file entries and their offspring under their own;
+// --corpus-out persists the elite population as schedule blocks.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/mutator.h"
@@ -60,13 +64,9 @@ struct CliOptions {
   std::string protocol = "all";
   uint64_t seed = 1;
   int seeds = 1;
-  int replicas = 5;
-  bool inject_quorum_bug = false;
-  bool restarts = false;
-  bool inject_persistence_bug = false;
-  bool wan = false;
-  int groups = 1;
-  size_t compaction_cap = 0;
+  /// Run flags from argv: the template every planned run starts from (a
+  /// seed-file entry adds its own flags on top).
+  chaos::RunOptions run;
   bool verbose = false;
   bool verify_determinism = false;
   bool stop_on_failure = false;
@@ -78,83 +78,6 @@ struct CliOptions {
   int population = 16;
   int elite = 4;
 };
-
-/// One run resolved from the CLI flags or a seed file: a (protocol, seed)
-/// pair, or an explicit schedule block. Per-entry flag overrides replay a
-/// saved failure under the exact configuration it was found with.
-struct PlannedRun {
-  std::string protocol;
-  uint64_t seed = 0;
-  std::optional<chaos::Schedule> schedule;
-  size_t compaction_cap = 0;
-  bool inject_quorum_bug = false;
-  bool restarts = false;
-  bool inject_persistence_bug = false;
-  bool wan = false;
-  int groups = 1;
-  int replicas = 5;
-};
-
-/// A (protocol, seed) run under the batch-wide CLI flags — the ONE place the
-/// seed-range and seed-file paths derive a run's configuration, so new flags
-/// cannot silently drop out of one of them.
-PlannedRun planned_seed_run(const CliOptions& cli, const std::string& protocol,
-                            uint64_t seed) {
-  PlannedRun run;
-  run.protocol = protocol;
-  run.seed = seed;
-  run.compaction_cap = cli.compaction_cap;
-  run.inject_quorum_bug = cli.inject_quorum_bug;
-  run.restarts = cli.restarts;
-  run.inject_persistence_bug = cli.inject_persistence_bug;
-  run.wan = cli.wan;
-  run.groups = cli.groups;
-  run.replicas = cli.replicas;
-  return run;
-}
-
-/// Serializes a run's flag overrides in the --seed-file per-line format.
-/// The ONE implementation shared by the --failures-out and --corpus-out
-/// writers: both files replay through the same parser, so the run must
-/// come back under exactly the configuration it ran with.
-std::string flags_of(const PlannedRun& run) {
-  std::string flags;
-  if (run.compaction_cap > 0) {
-    char fb[48];
-    std::snprintf(fb, sizeof(fb), " --compaction-cap=%zu", run.compaction_cap);
-    flags += fb;
-  }
-  if (run.restarts) flags += " --restarts";
-  if (run.inject_quorum_bug) flags += " --inject-quorum-bug";
-  if (run.inject_persistence_bug) flags += " --inject-persistence-bug";
-  if (run.wan) flags += " --wan";
-  if (run.groups > 1) {
-    char gb[32];
-    std::snprintf(gb, sizeof(gb), " --groups=%d", run.groups);
-    flags += gb;
-  }
-  if (run.replicas != chaos::RunOptions{}.num_replicas) {
-    char rb[32];
-    std::snprintf(rb, sizeof(rb), " --replicas=%d", run.replicas);
-    flags += rb;
-  }
-  return flags;
-}
-
-/// Identity of a planned run for corpus dedup: replaying a seed file that
-/// repeats a line must not burn two elite slots on the same run.
-std::string dedup_key(const PlannedRun& run) {
-  std::string key = run.protocol + flags_of(run) + '\n';
-  if (run.schedule.has_value()) {
-    key += chaos::serialize_schedule(*run.schedule);
-  } else {
-    char sb[32];
-    std::snprintf(sb, sizeof(sb), "seed=%llu",
-                  static_cast<unsigned long long>(run.seed));
-    key += sb;
-  }
-  return key;
-}
 
 bool parse_flag(const char* arg, const char* name, const char** value) {
   const size_t len = std::strlen(name);
@@ -220,30 +143,48 @@ void print_failure(const chaos::RunResult& r) {
   std::printf("  repro: %s\n", r.repro.c_str());
 }
 
+/// Every RunResult field --verify-determinism compares besides `ok`, as
+/// (name, value) pairs in the order --verbose prints them.
+std::vector<std::pair<std::string, std::string>> compared_fields(
+    const chaos::RunResult& r) {
+  char fp[20];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(r.trace_fingerprint));
+  return {{"log", std::to_string(r.log_length)},
+          {"client_ops", std::to_string(r.client_ops)},
+          {"snapshots", std::to_string(r.snapshot_installs)},
+          {"restarts", std::to_string(r.restarts)},
+          {"leader_changes", std::to_string(r.leader_changes)},
+          {"revocations", std::to_string(r.revocations)},
+          {"rollbacks", std::to_string(r.pipeline_rollbacks)},
+          {"fp", fp}};
+}
+
 /// Writes one replayable entry — a "<protocol> <seed> [flags]" line or a
 /// schedule block — with `comment` on the line (or a line of its own ahead
 /// of a block, since blocks span lines).
-void write_entry(std::FILE* f, const PlannedRun& run,
+void write_entry(std::FILE* f, const chaos::RunOptions& run,
                  const std::string& comment) {
+  const std::string flags = chaos::run_flags(run);
   if (run.schedule.has_value()) {
     if (!comment.empty()) std::fprintf(f, "# %s\n", comment.c_str());
-    std::string header = run.protocol + flags_of(run);
-    std::fprintf(f, "%s",
-                 chaos::serialize_schedule(*run.schedule, header).c_str());
+    std::fprintf(
+        f, "%s",
+        chaos::serialize_schedule(*run.schedule, run.protocol + flags).c_str());
   } else {
     std::fprintf(f, "%s %llu%s%s%s\n", run.protocol.c_str(),
-                 static_cast<unsigned long long>(run.seed),
-                 flags_of(run).c_str(), comment.empty() ? "" : "  # ",
-                 comment.c_str());
+                 static_cast<unsigned long long>(run.seed), flags.c_str(),
+                 comment.empty() ? "" : "  # ", comment.c_str());
   }
 }
 
 /// Parses --seed-file: bare seed / "<protocol> <seed>" lines with optional
-/// per-run flags, plus "schedule <protocol> [flags] { ... }" blocks.
-/// Returns false (after printing the offending line) on malformed input.
+/// run flags, plus "schedule <protocol> [flags] { ... }" blocks. Each entry
+/// starts from the argv run flags and adds its own. Returns false (after
+/// printing the offending line) on malformed input.
 bool load_seed_file(const CliOptions& cli,
                     const std::vector<std::string>& protocols,
-                    std::vector<PlannedRun>* planned) {
+                    std::vector<chaos::RunOptions>* planned) {
   std::ifstream in(cli.seed_file);
   if (!in) {
     std::fprintf(stderr, "cannot read seed file %s\n", cli.seed_file.c_str());
@@ -252,52 +193,14 @@ bool load_seed_file(const CliOptions& cli,
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
 
-  const auto apply_run_flag = [&cli](const std::string& flag,
-                                     std::vector<PlannedRun>* runs,
-                                     int lineno) {
-    const char* v = nullptr;
-    if (parse_flag(flag.c_str(), "--compaction-cap", &v) && v != nullptr) {
-      uint64_t cap = 0;
-      if (!parse_u64_value(v, &cap)) {
-        std::fprintf(stderr, "%s:%d: bad --compaction-cap value '%s'\n",
-                     cli.seed_file.c_str(), lineno, v);
-        return false;
-      }
-      for (auto& r : *runs) r.compaction_cap = cap;
-    } else if (parse_flag(flag.c_str(), "--inject-quorum-bug", &v)) {
-      for (auto& r : *runs) r.inject_quorum_bug = true;
-    } else if (parse_flag(flag.c_str(), "--restarts", &v)) {
-      for (auto& r : *runs) r.restarts = true;
-    } else if (parse_flag(flag.c_str(), "--inject-persistence-bug", &v)) {
-      for (auto& r : *runs) r.inject_persistence_bug = true;
-    } else if (parse_flag(flag.c_str(), "--wan", &v)) {
-      for (auto& r : *runs) r.wan = true;
-    } else if (parse_flag(flag.c_str(), "--groups", &v) && v != nullptr) {
-      int groups = 0;
-      if (!parse_int_value(v, &groups) || groups < 1) {
-        std::fprintf(stderr, "%s:%d: bad --groups value '%s'\n",
-                     cli.seed_file.c_str(), lineno, v);
-        return false;
-      }
-      for (auto& r : *runs) r.groups = groups;
-    } else if (parse_flag(flag.c_str(), "--replicas", &v) && v != nullptr) {
-      int replicas = 0;
-      if (!parse_int_value(v, &replicas) || replicas < 2) {
-        std::fprintf(stderr, "%s:%d: bad --replicas value '%s'\n",
-                     cli.seed_file.c_str(), lineno, v);
-        return false;
-      }
-      for (auto& r : *runs) r.replicas = replicas;
-    } else {
-      std::fprintf(stderr, "%s:%d: unknown per-run flag '%s'\n",
-                   cli.seed_file.c_str(), lineno, flag.c_str());
-      return false;
-    }
-    return true;
-  };
-
+  const auto& registry = consensus::ProtocolRegistry::instance();
   for (size_t pos = 0; pos < lines.size();) {
     const int lineno = static_cast<int>(pos) + 1;
+    const auto bad = [&cli, lineno](const std::string& what) {
+      std::fprintf(stderr, "%s:%d: %s\n", cli.seed_file.c_str(), lineno,
+                   what.c_str());
+      return false;
+    };
     std::string stripped = lines[pos];
     if (const size_t hash = stripped.find('#'); hash != std::string::npos) {
       stripped.resize(hash);
@@ -308,152 +211,85 @@ bool load_seed_file(const CliOptions& cli,
       ++pos;
       continue;
     }
+    // Every entry form leaves `ls` at its run flags.
+    chaos::RunOptions run = cli.run;
+    std::vector<std::string> names;  // the protocols this entry runs under
     if (first == "schedule") {
       chaos::Schedule sched;
       std::string header;
       std::string error;
       if (!chaos::parse_schedule(lines, &pos, &sched, &header, &error)) {
-        std::fprintf(stderr, "%s:%d: %s\n", cli.seed_file.c_str(), lineno,
-                     error.c_str());
-        return false;
+        return bad(error);
       }
-      std::istringstream hs(header);
+      ls.clear();
+      ls.str(header);
       std::string protocol;
-      if (!(hs >> protocol) ||
-          !consensus::ProtocolRegistry::instance().contains(protocol)) {
-        std::fprintf(stderr,
-                     "%s:%d: schedule block needs a registered protocol "
-                     "after 'schedule' (got '%s')\n",
-                     cli.seed_file.c_str(), lineno, header.c_str());
-        return false;
+      if (!(ls >> protocol) || !registry.contains(protocol)) {
+        return bad("schedule block needs a registered protocol after "
+                   "'schedule' (got '" + header + "')");
       }
-      std::vector<PlannedRun> block_runs;
-      PlannedRun run = planned_seed_run(cli, protocol, sched.seed);
-      run.schedule = sched;
-      block_runs.push_back(std::move(run));
-      std::string flag;
-      while (hs >> flag) {
-        if (!apply_run_flag(flag, &block_runs, lineno)) return false;
+      names.push_back(protocol);
+      run.seed = sched.seed;
+      run.schedule = std::move(sched);
+    } else {
+      if (registry.contains(first)) {
+        std::string seed_tok;
+        if (!(ls >> seed_tok) ||
+            !parse_u64_value(seed_tok.c_str(), &run.seed)) {
+          return bad("protocol '" + first + "' without a valid seed");
+        }
+        names.push_back(first);
+      } else if (parse_u64_value(first.c_str(), &run.seed)) {
+        names = protocols;  // bare seed: run it under the --protocol selection
+      } else {
+        return bad("'" + first +
+                   "' is neither a registered protocol nor a seed");
       }
+      ++pos;
+    }
+    for (std::string token; ls >> token;) {
+      std::string error;
+      if (!chaos::apply_run_flag(token, &run, &error)) return bad(error);
+    }
+    if (run.schedule.has_value()) {
       // An event naming a replica the replaying cluster does not have must
       // be a clean usage error, not an out-of-bounds crash mid-batch.
-      const int replicas = block_runs.front().replicas;
-      for (const chaos::FaultEvent& e : sched.events) {
-        if (e.a >= replicas || e.b >= replicas) {
-          std::fprintf(stderr,
-                       "%s:%d: event targets replica %d but the cluster has "
-                       "%d replicas (replay with a bigger --replicas)\n",
-                       cli.seed_file.c_str(), lineno, std::max(e.a, e.b),
-                       replicas);
-          return false;
+      for (const chaos::FaultEvent& e : run.schedule->events) {
+        if (e.a >= run.num_replicas || e.b >= run.num_replicas) {
+          return bad("event targets replica " +
+                     std::to_string(std::max(e.a, e.b)) +
+                     " but the cluster has " +
+                     std::to_string(run.num_replicas) +
+                     " replicas (replay with a bigger --replicas)");
         }
       }
-      planned->insert(planned->end(), block_runs.begin(), block_runs.end());
-      continue;
     }
-    std::vector<PlannedRun> line_runs;
-    if (consensus::ProtocolRegistry::instance().contains(first)) {
-      std::string seed_tok;
-      uint64_t seed = 0;
-      if (!(ls >> seed_tok) || !parse_u64_value(seed_tok.c_str(), &seed)) {
-        std::fprintf(stderr, "%s:%d: protocol '%s' without a valid seed\n",
-                     cli.seed_file.c_str(), lineno, first.c_str());
-        return false;
-      }
-      line_runs.push_back(planned_seed_run(cli, first, seed));
-    } else {
-      uint64_t seed = 0;
-      if (!parse_u64_value(first.c_str(), &seed)) {
-        std::fprintf(stderr,
-                     "%s:%d: '%s' is neither a registered protocol nor a "
-                     "seed\n",
-                     cli.seed_file.c_str(), lineno, first.c_str());
-        return false;
-      }
-      // Bare seed: run it under the --protocol selection.
-      for (const auto& protocol : protocols) {
-        line_runs.push_back(planned_seed_run(cli, protocol, seed));
-      }
+    for (const std::string& name : names) {
+      run.protocol = name;
+      planned->push_back(run);
     }
-    // Per-line flag overrides (written by --failures-out): the run must
-    // replay under the configuration it failed with.
-    std::string flag;
-    while (ls >> flag) {
-      if (!apply_run_flag(flag, &line_runs, lineno)) return false;
-    }
-    planned->insert(planned->end(), line_runs.begin(), line_runs.end());
-    ++pos;
   }
   return true;
-}
-
-/// An evolved candidate as a persistable run under the CLI flags — the ONE
-/// place the evolve-mode writers (--failures-out, --corpus-out) derive the
-/// replay configuration from, so new per-run flags cannot drift between
-/// them.
-PlannedRun planned_run_of(const CliOptions& cli,
-                          const chaos::EvolveCandidate& c) {
-  PlannedRun run = planned_seed_run(cli, c.protocol, c.schedule.seed);
-  run.schedule = c.schedule;
-  if (c.flags.has_value()) {  // a seed-file entry's own flags, inherited
-    const chaos::RunOptions& f = *c.flags;
-    run.compaction_cap = f.compaction_log_cap;
-    run.inject_quorum_bug = f.inject_quorum_bug;
-    run.restarts = f.crash_restarts;
-    run.inject_persistence_bug = f.inject_persistence_bug;
-    run.wan = f.wan;
-    run.groups = f.groups;
-    run.replicas = f.num_replicas;
-  }
-  return run;
-}
-
-chaos::RunOptions run_options_of(const PlannedRun& run) {
-  chaos::RunOptions opt;
-  opt.protocol = run.protocol;
-  opt.seed = run.seed;
-  opt.schedule = run.schedule;
-  opt.num_replicas = run.replicas;
-  opt.inject_quorum_bug = run.inject_quorum_bug;
-  opt.compaction_log_cap = run.compaction_cap;
-  opt.crash_restarts = run.restarts;
-  opt.inject_persistence_bug = run.inject_persistence_bug;
-  opt.wan = run.wan;
-  opt.groups = run.groups;
-  return opt;
 }
 
 /// The --evolve mode: population from the seed file + fresh randomness,
 /// N generations of keep-the-top/mutate, elite corpus out.
 int run_evolution(const CliOptions& cli,
                   const std::vector<std::string>& protocols,
-                  const std::vector<PlannedRun>& planned) {
+                  const std::vector<chaos::RunOptions>& planned) {
   chaos::EvolveOptions eopt;
   eopt.generations = cli.evolve;
   eopt.population = cli.population;
   eopt.elite = cli.elite;
   eopt.rng_seed = cli.seed;
   eopt.protocols = protocols;
-  eopt.base.num_replicas = cli.replicas;
-  eopt.base.inject_quorum_bug = cli.inject_quorum_bug;
-  eopt.base.compaction_log_cap = cli.compaction_cap;
-  eopt.base.crash_restarts = cli.restarts;
-  eopt.base.inject_persistence_bug = cli.inject_persistence_bug;
-  eopt.base.wan = cli.wan;
-  eopt.base.groups = cli.groups;
+  eopt.base = cli.run;
 
-  // Seed the population from --seed-file entries: explicit schedule blocks
-  // verbatim, seed lines expanded exactly as run_one would expand them, each
-  // under its own flags (kept by its offspring and written back with them).
+  // Seed the population from --seed-file entries, each under its own flags
+  // (kept by its offspring and written back with them); evolve expands seed
+  // lines exactly as run_one would.
   std::vector<chaos::EvolveCandidate> seeds;
-  for (const PlannedRun& pr : planned) {
-    chaos::EvolveCandidate cand;
-    cand.protocol = pr.protocol;
-    const chaos::RunOptions flags = run_options_of(pr);
-    cand.schedule = chaos::schedule_of(flags);
-    cand.flags = flags;
-    seeds.push_back(std::move(cand));
-  }
+  for (const chaos::RunOptions& run : planned) seeds.push_back({run});
 
   // praft-lint: allow(D2 wall-clock is reporting-only; never in trajectories)
   const auto wall_start = std::chrono::steady_clock::now();
@@ -461,19 +297,17 @@ int run_evolution(const CliOptions& cli,
   for (const chaos::RunResult& r : stats.failures) print_failure(r);
   if (!cli.failures_out.empty() && !stats.failures.empty()) {
     // Evolved failures are only replayable as schedule blocks: persist the
-    // exact (protocol, schedule, flags) each failing run executed under.
+    // exact run each failure executed.
     std::FILE* ff = std::fopen(cli.failures_out.c_str(), "w");
     if (ff == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", cli.failures_out.c_str());
       return 2;
     }
     for (size_t i = 0; i < stats.failed_candidates.size(); ++i) {
-      const PlannedRun run =
-          planned_run_of(cli, stats.failed_candidates[i]);
       const std::string violated = stats.failures[i].violations.empty()
                                        ? "?"
                                        : stats.failures[i].violations.front();
-      write_entry(ff, run, "FAIL: " + violated);
+      write_entry(ff, stats.failed_candidates[i].run, "FAIL: " + violated);
     }
     std::fclose(ff);
   }
@@ -492,23 +326,20 @@ int run_evolution(const CliOptions& cli,
                  "# chaos corpus: elite population of %d-generation "
                  "evolution (%zu schedules)\n",
                  cli.evolve, stats.population.size());
-    // Every batch-wide flag shapes the evolved population, so the
-    // regenerate line carries all of them (the per-run serializer).
-    const std::string batch_flags =
-        flags_of(planned_seed_run(cli, cli.protocol, cli.seed));
+    // Every argv run flag shapes the evolved population, so the regenerate
+    // line carries all of them.
     std::fprintf(cf,
                  "# regenerate: chaos_runner --protocol=%s --evolve=%d "
                  "--population=%d --elite=%d --seed=%llu%s "
                  "--corpus-out=<this file>\n",
                  cli.protocol.c_str(), cli.evolve, cli.population, cli.elite,
                  static_cast<unsigned long long>(cli.seed),
-                 batch_flags.c_str());
+                 chaos::run_flags(cli.run).c_str());
     for (const chaos::EvolveCandidate& c : stats.population) {
-      const PlannedRun run = planned_run_of(cli, c);
       char comment[32];
       std::snprintf(comment, sizeof(comment), "cov=%llu",
                     static_cast<unsigned long long>(c.score));
-      write_entry(cf, run, comment);
+      write_entry(cf, c.run, comment);
     }
     std::fclose(cf);
     std::printf("corpus: wrote %zu evolved schedules to %s\n",
@@ -534,6 +365,8 @@ int run_evolution(const CliOptions& cli,
 int main(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
+    std::string run_error;
+    if (chaos::apply_run_flag(argv[i], &cli.run, &run_error)) continue;
     const char* v = nullptr;
     bool ok = true;
     if (parse_flag(argv[i], "--protocol", &v) && v != nullptr) {
@@ -542,28 +375,12 @@ int main(int argc, char** argv) {
       ok = parse_u64_value(v, &cli.seed);
     } else if (parse_flag(argv[i], "--seeds", &v) && v != nullptr) {
       ok = parse_int_value(v, &cli.seeds) && cli.seeds >= 1;
-    } else if (parse_flag(argv[i], "--replicas", &v) && v != nullptr) {
-      ok = parse_int_value(v, &cli.replicas) && cli.replicas >= 2;
-    } else if (parse_flag(argv[i], "--inject-quorum-bug", &v)) {
-      cli.inject_quorum_bug = true;
-    } else if (parse_flag(argv[i], "--restarts", &v)) {
-      cli.restarts = true;
-    } else if (parse_flag(argv[i], "--inject-persistence-bug", &v)) {
-      cli.inject_persistence_bug = true;
-    } else if (parse_flag(argv[i], "--wan", &v)) {
-      cli.wan = true;
-    } else if (parse_flag(argv[i], "--groups", &v) && v != nullptr) {
-      ok = parse_int_value(v, &cli.groups) && cli.groups >= 1;
     } else if (parse_flag(argv[i], "--corpus-out", &v) && v != nullptr) {
       cli.corpus_out = v;
     } else if (parse_flag(argv[i], "--corpus-size", &v) && v != nullptr) {
       uint64_t size = 0;
       ok = parse_u64_value(v, &size) && size >= 1;
       cli.corpus_size = static_cast<size_t>(size);
-    } else if (parse_flag(argv[i], "--compaction-cap", &v) && v != nullptr) {
-      uint64_t cap = 0;
-      ok = parse_u64_value(v, &cap);
-      cli.compaction_cap = static_cast<size_t>(cap);
     } else if (parse_flag(argv[i], "--seed-file", &v) && v != nullptr) {
       cli.seed_file = v;
     } else if (parse_flag(argv[i], "--evolve", &v) && v != nullptr) {
@@ -581,6 +398,7 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--failures-out", &v) && v != nullptr) {
       cli.failures_out = v;
     } else {
+      std::fprintf(stderr, "%s\n", run_error.c_str());
       usage(argv[0]);
       return 2;
     }
@@ -614,14 +432,16 @@ int main(int argc, char** argv) {
 
   // Resolve the run list: either the contiguous --seed/--seeds range, or an
   // explicit seed file (e.g. a saved --failures-out / --corpus-out file).
-  std::vector<PlannedRun> planned;
+  std::vector<chaos::RunOptions> planned;
   if (!cli.seed_file.empty()) {
     if (!load_seed_file(cli, protocols, &planned)) return 2;
   } else if (cli.evolve == 0) {
+    chaos::RunOptions run = cli.run;
     for (const auto& protocol : protocols) {
+      run.protocol = protocol;
       for (int k = 0; k < cli.seeds; ++k) {
-        planned.push_back(planned_seed_run(
-            cli, protocol, cli.seed + static_cast<uint64_t>(k)));
+        run.seed = cli.seed + static_cast<uint64_t>(k);
+        planned.push_back(run);
       }
     }
   }
@@ -630,7 +450,7 @@ int main(int argc, char** argv) {
 
   struct CorpusEntry {
     uint64_t score = 0;
-    PlannedRun run;
+    chaos::RunOptions run;
   };
   std::vector<CorpusEntry> corpus;
 
@@ -647,22 +467,16 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   int failures = 0;
   uint64_t runs = 0;
-  for (const PlannedRun& pr : planned) {
-    const chaos::RunResult r = chaos::run_one(run_options_of(pr));
+  for (const chaos::RunOptions& run : planned) {
+    const chaos::RunResult r = chaos::run_one(run);
     ++runs;
     if (cli.verbose) {
-      std::printf(
-          "%s protocol=%s seed=%llu log=%lld client_ops=%llu snapshots=%llu "
-          "restarts=%llu leader_changes=%llu revocations=%llu fp=%016llx\n",
-          r.ok ? "ok  " : "FAIL", r.protocol.c_str(),
-          static_cast<unsigned long long>(r.seed),
-          static_cast<long long>(r.log_length),
-          static_cast<unsigned long long>(r.client_ops),
-          static_cast<unsigned long long>(r.snapshot_installs),
-          static_cast<unsigned long long>(r.restarts),
-          static_cast<unsigned long long>(r.leader_changes),
-          static_cast<unsigned long long>(r.revocations),
-          static_cast<unsigned long long>(r.trace_fingerprint));
+      std::printf("%s protocol=%s seed=%llu", r.ok ? "ok  " : "FAIL",
+                  r.protocol.c_str(), static_cast<unsigned long long>(r.seed));
+      for (const auto& [name, value] : compared_fields(r)) {
+        std::printf(" %s=%s", name.c_str(), value.c_str());
+      }
+      std::printf("\n");
     }
     bool deterministic = true;
     if (cli.verify_determinism) {
@@ -671,33 +485,24 @@ int main(int argc, char** argv) {
       // exact observation stream. Any divergence — unordered-container
       // iteration leaking into emission, a stray wall-clock read — shows up
       // as a coverage-counter or trace-fingerprint mismatch on the rerun.
-      const chaos::RunResult r2 = chaos::run_one(run_options_of(pr));
+      const chaos::RunResult r2 = chaos::run_one(run);
       ++runs;
-      deterministic = r2.trace_fingerprint == r.trace_fingerprint &&
-                      r2.ok == r.ok && r2.log_length == r.log_length &&
-                      r2.client_ops == r.client_ops &&
-                      r2.snapshot_installs == r.snapshot_installs &&
-                      r2.restarts == r.restarts &&
-                      r2.leader_changes == r.leader_changes &&
-                      r2.revocations == r.revocations &&
-                      r2.pipeline_rollbacks == r.pipeline_rollbacks;
+      const auto fields = compared_fields(r);
+      const auto fields2 = compared_fields(r2);
+      deterministic = r2.ok == r.ok && fields2 == fields;
       if (!deterministic) {
-        std::printf(
-            "NONDETERMINISTIC protocol=%s seed=%llu: fp=%016llx/%016llx "
-            "log=%lld/%lld client_ops=%llu/%llu leader_changes=%llu/%llu\n",
-            r.protocol.c_str(), static_cast<unsigned long long>(r.seed),
-            static_cast<unsigned long long>(r.trace_fingerprint),
-            static_cast<unsigned long long>(r2.trace_fingerprint),
-            static_cast<long long>(r.log_length),
-            static_cast<long long>(r2.log_length),
-            static_cast<unsigned long long>(r.client_ops),
-            static_cast<unsigned long long>(r2.client_ops),
-            static_cast<unsigned long long>(r.leader_changes),
-            static_cast<unsigned long long>(r2.leader_changes));
+        std::printf("NONDETERMINISTIC protocol=%s seed=%llu: ok=%d/%d",
+                    r.protocol.c_str(), static_cast<unsigned long long>(r.seed),
+                    r.ok ? 1 : 0, r2.ok ? 1 : 0);
+        for (size_t f = 0; f < fields.size(); ++f) {
+          std::printf(" %s=%s/%s", fields[f].first.c_str(),
+                      fields[f].second.c_str(), fields2[f].second.c_str());
+        }
+        std::printf("\n");
       }
     }
     if (!cli.corpus_out.empty() && r.ok && deterministic) {
-      corpus.push_back(CorpusEntry{chaos::coverage_score(r), pr});
+      corpus.push_back(CorpusEntry{chaos::coverage_score(r), run});
     }
     if (!r.ok || !deterministic) {
       ++failures;
@@ -705,7 +510,7 @@ int main(int argc, char** argv) {
       if (failures_file != nullptr) {
         // Flags ride along so --seed-file replays the exact configuration
         // the run failed under.
-        write_entry(failures_file, pr,
+        write_entry(failures_file, run,
                     !r.ok ? "repro: " + r.repro
                           : "NONDETERMINISTIC: divergent rerun");
         std::fflush(failures_file);
@@ -721,7 +526,7 @@ int main(int argc, char** argv) {
     std::set<std::string> seen;
     std::vector<CorpusEntry> unique;
     for (CorpusEntry& ce : corpus) {
-      if (seen.insert(dedup_key(ce.run)).second) {
+      if (seen.insert(chaos::run_key(ce.run)).second) {
         unique.push_back(std::move(ce));
       }
     }
@@ -756,9 +561,9 @@ int main(int argc, char** argv) {
   // Count the protocols actually run (a seed file may name a different set
   // than the --protocol selection).
   std::vector<std::string> ran;
-  for (const PlannedRun& pr : planned) {
-    if (std::find(ran.begin(), ran.end(), pr.protocol) == ran.end()) {
-      ran.push_back(pr.protocol);
+  for (const chaos::RunOptions& run : planned) {
+    if (std::find(ran.begin(), ran.end(), run.protocol) == ran.end()) {
+      ran.push_back(run.protocol);
     }
   }
   std::printf("chaos: %llu runs (%zu protocol(s)) in %.1fs, %d failure(s)\n",
